@@ -18,7 +18,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, help="JSON config file; flags override it")
     parser.add_argument("--seed", type=int, help="64-bit master seed")
     parser.add_argument("--out", type=str, help="CSV output path")
-    parser.add_argument("--threads", type=int, help="worker threads for sample sweeps")
+    parser.add_argument("--threads", type=int, help="ignored; accepted so older commands still run")
     parser.add_argument("--d", type=int, help="local dimension")
     parser.add_argument("--epsilon", type=float, help="single error budget")
     parser.add_argument(

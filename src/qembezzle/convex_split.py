@@ -32,6 +32,23 @@ COPIES_CAP = 2**40
 _P_CEILING = 1.0 - 1e-6
 _SWEEP_TOL = SupportTolerance(1e-13)
 
+# The p search: a 1e-3 grid plus log-spaced points in 1 - p, then golden
+# refinement; candidate blocks keep the grid's temporaries near 1 MB at d = 2.
+_GRID_STEP, _LOG_POINTS, _REFINE_TOL = 1e-3, 160, 1e-6
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CANDIDATE_BLOCK = 8
+_SECULAR_STEPS, _SECULAR_RTOL = 64, 4e-16
+
+
+def _local_dim(rho: DensityMatrix, epsilon: float | None) -> int:
+    """Local dimension of rho's square split, after checking epsilon lies in (0, 1)."""
+    if epsilon is not None and not 0.0 < epsilon < 1.0:
+        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+    da, db = rho.require_split()
+    if da != db:
+        raise DomainError(f"rho must live on a square split, got {da}x{db}")
+    return da
+
 
 def catalyst_mixture(zeta: DensityMatrix, p: float) -> DensityMatrix:
     """Mixture p phi+ + (1-p) zeta used as the single-copy catalyst factor."""
@@ -122,9 +139,7 @@ class ConvexSplitCatalyst:
     epsilon: float
 
     def __post_init__(self):
-        d = self.zeta.split_a
-        phi = max_entangled_density(d)
-        recon = self.p * phi.mat + (1.0 - self.p) * self.zeta.mat
+        recon = catalyst_mixture(self.zeta, self.p).mat
         if float(np.max(np.abs(recon - self.tau.mat))) > 1e-10:
             raise DomainError("tau is not the declared mixture of phi+ and zeta")
         if not math.isfinite(self.k):
@@ -139,12 +154,7 @@ def teleport_catalyst_plan(
     Chooses the smallest admissible mixing weight
     p = 1 - eps (d+1) / (4 d (1 - F(zeta))), then the matching copy count.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    da, db = rho.require_split()
-    if da != db:
-        raise DomainError(f"rho must live on a square split, got {da}x{db}")
-    d = da
+    d = _local_dim(rho, epsilon)
     one_minus_fz = 1.0 - entanglement_fraction(zeta)
     p = max(0.0, 1.0 - epsilon * (d + 1) / (4.0 * d * one_minus_fz))
     tau = catalyst_mixture(zeta, p)
@@ -167,134 +177,136 @@ class CopiesBudget:
     impractical: bool = False
 
 
-def _ceil_capped(g: float) -> int:
-    if not math.isfinite(g) or g >= COPIES_CAP:
-        return COPIES_CAP
-    return max(1, int(math.ceil(g)))
+def _whitened_spectra(rho: DensityMatrix, zetas: list[DensityMatrix]):
+    """Eigenvalues a of A = Z rho Z and weights w = |V^dagger Z phi+|^2, Z = zeta^(-1/2).
+
+    lambda_min(tau) >= (1-p) lambda_min(zeta) and lambda_max(tau) <= 1 certify
+    that tau(p) clears the support cutoff on the whole sweep; a zeta without
+    that certificate is rejected.
+    """
+    lam, vec = np.linalg.eigh(np.stack([z.mat for z in zetas]))
+    if not (1.0 - _P_CEILING) * lam[:, 0].min() > _SWEEP_TOL.eigen_cutoff:
+        raise DomainError(f"zeta must be full rank, smallest eigenvalue {lam[:, 0].min():.3e}")
+    z = (vec / np.sqrt(lam)[:, None, :]) @ np.conj(np.transpose(vec, (0, 2, 1)))
+    amat = z @ rho.mat @ z
+    a, v = np.linalg.eigh((amat + np.conj(np.transpose(amat, (0, 2, 1)))) / 2.0)
+    u = z[:, :, :: zetas[0].split_a + 1].sum(axis=2) / math.sqrt(zetas[0].split_a)  # Z |phi+>
+    return a, np.abs(np.einsum("kji,kj->ki", np.conj(v), u)) ** 2
 
 
-class _CopiesObjective:
-    """Continuous copy-count surrogate 2^k(p) / slack(p)^2 over the p line."""
+def _lambda_max(a: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """lambda_max(rho, tau(p)) from whitened spectra a, w (K, n) at points p (K, P).
 
-    def __init__(self, rho: DensityMatrix, zeta: DensityMatrix, eps_slack: float):
-        self.rho_mat = rho.mat
-        self.zeta_mat = zeta.mat
-        self.d2 = zeta.dim
-        self.phi_mat = max_entangled_density(zeta.split_a).mat
-        self.one_minus_fz = max(0.0, 1.0 - entanglement_fraction(zeta))
-        self.eps_slack = eps_slack
-        self.cutoff = _SWEEP_TOL.eigen_cutoff
-
-    def p_floor(self) -> float:
-        if self.one_minus_fz <= self.eps_slack**2:
-            return 0.0
-        return 1.0 - self.eps_slack**2 / self.one_minus_fz
-
-    def slack(self, p: np.ndarray) -> np.ndarray:
-        return self.eps_slack - np.sqrt((1.0 - p) * self.one_minus_fz)
-
-    def batch(self, p: np.ndarray) -> np.ndarray:
-        """Vectorised evaluation; infeasible points come back as +inf."""
-        p = np.asarray(p, dtype=float)
-        taus = (
-            p[:, None, None] * self.phi_mat[None, :, :]
-            + (1.0 - p)[:, None, None] * self.zeta_mat[None, :, :]
-        )
-        w, v = np.linalg.eigh(taus)
-        ok = w[:, 0] > self.cutoff * w[:, -1]
-        slack = self.slack(p)
-        ok &= slack > 0
-        out = np.full(p.shape, np.inf)
-        if np.any(ok):
-            ws = w[ok]
-            vs = v[ok]
-            inv_sqrt = (vs / np.sqrt(ws)[:, None, :]) @ np.conjugate(np.transpose(vs, (0, 2, 1)))
-            pivot = inv_sqrt @ self.rho_mat[None, :, :] @ inv_sqrt
-            lam = np.linalg.eigvalsh(pivot)[:, -1]
-            out[ok] = lam / slack[ok] ** 2
-        return out
-
-    def __call__(self, p: float) -> float:
-        return float(self.batch(np.array([p]))[0])
+    tau(p) = Z^-1 ((1-p) I + p u u^dagger) Z^-1, so lambda_max = mu / (1-p) with
+    mu the root in [a_(n-1), a_n] of the rank-one secular equation
+    1 = p/(1-p) mu sum_i w_i / (a_i - mu) (Golub 1973; Bunch, Nielsen & Sorensen
+    1978). Newton runs on y = 1/mu with the poles a_i, i < n, multiplied out;
+    steps leaving the bracket bisect. Each point iterates on its own data only.
+    """
+    an, wn, a2 = a[:, -1:], w[:, -1:], a[:, -2:-1]
+    with np.errstate(divide="ignore"):
+        s = (1.0 - p) / p
+        lo = np.broadcast_to(1.0 / an, p.shape)
+        # A's top eigenvector's Rayleigh quotient a_n / (1 + w_n / s) bounds mu below; it
+        # is the root itself when u is that eigenvector, so rounding must not cut it off.
+        hi = np.minimum((1.0 + wn / s) / an * (1.0 + 1e-12), np.where(a2 > 0.0, 1.0 / a2, np.inf))
+    y, done = lo.copy(), (p == 0.0) | ~(hi > lo)  # mu = a_n at p = 0
+    s = np.where(done, 1.0, s)
+    for _ in range(_SECULAR_STEPS):
+        # g = (a_n y - 1) U - w_n V with V = prod_(i<n) (1 - a_i y) and
+        # U = s V + sum_(i<n) w_i prod_(j<n, j != i) (1 - a_j y); dv, du are y-derivatives.
+        vv, dv, uu, du = np.ones_like(y), np.zeros_like(y), s, np.zeros_like(y)
+        for ak, wk in zip(a[:, :-1, None].transpose(1, 0, 2), w[:, :-1, None].transpose(1, 0, 2)):
+            f = 1.0 - ak * y
+            du = du * f - uu * ak + wk * dv
+            uu = uu * f + wk * vv
+            dv = dv * f - vv * ak
+            vv = vv * f
+        t = an * y - 1.0
+        g = t * uu - wn * vv
+        step = g / (an * uu + t * du - wn * dv)
+        lo, hi = np.where(g < 0.0, y, lo), np.where(g > 0.0, y, hi)
+        conv = (g == 0.0) | (np.abs(step) <= _SECULAR_RTOL * y)
+        nxt = y - step
+        nxt = np.where(conv | ((nxt > lo) & (nxt < hi)), nxt, 0.5 * (lo + hi))
+        y = np.where(done | (g == 0.0), y, nxt)
+        done |= conv
+        if done.all():
+            break
+    return 1.0 / (y * (1.0 - p))
 
 
-def _golden_refine(obj, lo: float, hi: float, tol: float) -> list[tuple[float, float]]:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = obj(c), obj(d)
-    visited = [(c, fc), (d, fd)]
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = obj(c)
-            visited.append((c, fc))
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = obj(d)
-            visited.append((d, fd))
-    return visited
-
-
-def _min_copies_slack(
-    rho: DensityMatrix,
-    zeta: DensityMatrix,
-    eps_slack: float,
-    *,
-    grid_step: float = 1e-3,
-    refine_tol: float = 1e-6,
-    log_points: int = 160,
-) -> CopiesBudget:
-    """Minimise ceil(2^k(p) / (eps_slack - sqrt((1-p)(1-F(zeta))))^2) over p."""
-    obj = _CopiesObjective(rho, zeta, eps_slack)
-    p_lo = obj.p_floor()
-    p_hi = _P_CEILING
-    if p_lo >= p_hi:
-        return CopiesBudget(n_min=COPIES_CAP, p_star=p_hi, impractical=True)
-
-    grid = np.arange(p_lo, p_hi, grid_step)
-    # Log-spaced points in 1-p cover the narrow feasible band near p = 1.
+def _p_grid(p_lo: float) -> np.ndarray:
+    """Linear grid over [p_lo, _P_CEILING] plus log-spaced points in 1 - p near p = 1."""
+    grid = np.arange(p_lo, _P_CEILING, _GRID_STEP)
     log_hi = math.log10(max(1.0 - p_lo, 1e-6))
-    log_grid = 1.0 - np.logspace(log_hi, math.log10(1.0 - p_hi), log_points)
-    candidates = np.unique(np.clip(np.concatenate([grid, log_grid, [p_lo, p_hi]]), p_lo, p_hi))
-
-    values = obj.batch(candidates)
-    order = int(np.argmin(values))
-    best_p = float(candidates[order])
-
-    lo = max(p_lo, best_p - grid_step)
-    hi = min(p_hi, best_p + grid_step)
-    visited = list(zip(candidates.tolist(), values.tolist()))
-    if hi > lo:
-        visited.extend(_golden_refine(obj, lo, hi, refine_tol))
-
-    best_n = COPIES_CAP
-    best_pstar = p_hi
-    for p, g in sorted(visited):
-        n = _ceil_capped(g)
-        if n < best_n:
-            best_n = n
-            best_pstar = p
-    return CopiesBudget(n_min=best_n, p_star=best_pstar, impractical=best_n >= COPIES_CAP)
+    log_grid = 1.0 - np.logspace(log_hi, math.log10(1.0 - _P_CEILING), _LOG_POINTS)
+    grid = np.concatenate([grid, log_grid, [p_lo, _P_CEILING]])
+    return np.unique(np.clip(grid, p_lo, _P_CEILING))
 
 
-def min_copies(rho: DensityMatrix, zeta: DensityMatrix, epsilon: float, **kwargs) -> CopiesBudget:
+def _copies_budgets(
+    rho: DensityMatrix, zetas: list[DensityMatrix], eps_slack: float, *, block=_CANDIDATE_BLOCK
+) -> list[CopiesBudget]:
+    """Minimise ceil(2^k(p) / (eps_slack - sqrt((1-p)(1-F(zeta))))^2) over p, per candidate.
+
+    The p-grid is scored in blocks of ``block`` candidates; then every live
+    candidate takes one golden-section step around its best grid point per
+    array call. p_star is the smallest visited p reaching the fewest copies.
+    """
+    a, w = _whitened_spectra(rho, zetas)
+    omf = np.array([max(0.0, 1.0 - entanglement_fraction(z)) for z in zetas])
+    p_lo = np.where(omf <= eps_slack**2, 0.0, 1.0 - eps_slack**2 / np.maximum(omf, eps_slack**2))
+    best_n = np.full(len(zetas), float(COPIES_CAP))  # integral counts, exact in float64
+    best_p = np.full(len(zetas), _P_CEILING)
+    centre = np.full(len(zetas), _P_CEILING)
+
+    def score(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
+        slack = eps_slack - np.sqrt((1.0 - p) * omf[rows, None])
+        with np.errstate(divide="ignore"):
+            values = np.where(slack > 0, _lambda_max(a[rows], w[rows], p) / slack**2, np.inf)
+        n = np.where(values < COPIES_CAP, np.maximum(1.0, np.ceil(values)), COPIES_CAP)
+        n, p = np.hstack([best_n[rows, None], n]), np.hstack([best_p[rows, None], p])
+        best_n[rows] = n.min(axis=1)
+        best_p[rows] = np.where(n == best_n[rows, None], p, np.inf).min(axis=1)
+        return values
+
+    live = np.flatnonzero(p_lo < _P_CEILING)
+    for first in range(0, live.size, block):
+        rows = live[first : first + block]
+        grids = [_p_grid(float(p_lo[r])) for r in rows]
+        # Each grid ends at _P_CEILING, so padding with it repeats a visited point.
+        pts = np.full((rows.size, max(g.size for g in grids)), _P_CEILING)
+        for i, g in enumerate(grids):
+            pts[i, : g.size] = g
+        centre[rows] = pts[np.arange(rows.size), np.argmin(score(rows, pts), axis=1)]
+
+    lo, hi = np.maximum(p_lo, centre - _GRID_STEP), np.minimum(_P_CEILING, centre + _GRID_STEP)
+    rows = live[hi[live] > lo[live]]
+    lo, hi = lo[rows], hi[rows]
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = score(rows, c[:, None])[:, 0], score(rows, d[:, None])[:, 0]
+    while (on := hi - lo > _REFINE_TOL).any():
+        rows, lo, hi, c, d, fc, fd = (x[on] for x in (rows, lo, hi, c, d, fc, fd))
+        left = fc <= fd
+        hi, lo = np.where(left, d, hi), np.where(left, lo, c)
+        x = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+        fx = score(rows, x[:, None])[:, 0]
+        c, fc, d, fd = (np.where(left, x, d), np.where(left, fx, fd),
+                        np.where(left, c, x), np.where(left, fc, fx))
+    best_p[best_n >= COPIES_CAP] = _P_CEILING
+    return [CopiesBudget(int(n), float(p), bool(n >= COPIES_CAP)) for n, p in zip(best_n, best_p)]
+
+
+def min_copies(rho: DensityMatrix, zeta: DensityMatrix, epsilon: float) -> CopiesBudget:
     """Fewest catalyst copies meeting the average-fidelity error epsilon.
 
     Searches the mixing weight p of tau = p phi+ + (1-p) zeta under the
     constraint sqrt(2^k / n) + sqrt(1 - F(tau)) <= sqrt(eps (d+1) / d);
     ties between equally good p values resolve toward the smaller p.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    da, db = rho.require_split()
-    if da != db:
-        raise DomainError(f"rho must live on a square split, got {da}x{db}")
-    eps_slack = math.sqrt(epsilon * (da + 1) / da)
-    return _min_copies_slack(rho, zeta, eps_slack, **kwargs)
+    d = _local_dim(rho, epsilon)
+    return _copies_budgets(rho, [zeta], math.sqrt(epsilon * (d + 1) / d))[0]
 
 
 @dataclass(frozen=True)
@@ -335,32 +347,18 @@ def min_copies_search(query: CatalystSearchQuery) -> CatalystSearchResult:
     is always force-included, so the winner never exceeds it; ties resolve
     by (copy count, candidate index) with the benchmark ordered first.
     """
-    rho = query.rho
-    da, db = rho.require_split()
-    if da != db:
-        raise DomainError(f"rho must live on a square split, got {da}x{db}")
-    d = da
-    if query.eps_slack is not None:
-        eps_slack = query.eps_slack
-    else:
-        if not 0.0 < query.epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in (0, 1), got {query.epsilon}")
+    d = _local_dim(query.rho, None if query.eps_slack is not None else query.epsilon)
+    eps_slack = query.eps_slack
+    if eps_slack is None:
         eps_slack = math.sqrt(query.epsilon * (d + 1) / d)
-
-    mixed = maximally_mixed(d * d, split=(d, d))
-    bench = _min_copies_slack(rho, mixed, eps_slack)
-    best = (bench.n_min, -1, mixed, bench.p_star)
-    for idx in range(query.candidate_count):
-        zeta = random_flat_spectrum(d * d, query.rng.derive(idx + 1), split=(d, d))
-        cand = _min_copies_slack(rho, zeta, eps_slack)
-        if (cand.n_min, idx) < (best[0], best[1]):
-            best = (cand.n_min, idx, zeta, cand.p_star)
+    zetas = [maximally_mixed(d * d, split=(d, d))] + [
+        random_flat_spectrum(d * d, query.rng.derive(idx + 1), split=(d, d))
+        for idx in range(query.candidate_count)
+    ]
+    budgets = _copies_budgets(query.rho, zetas, eps_slack)
+    best = min(range(len(zetas)), key=lambda i: budgets[i].n_min)
     return CatalystSearchResult(
-        n_best=best[0],
-        zeta_best=best[2],
-        p_best=best[3],
-        n_mixed=bench.n_min,
-        p_mixed=bench.p_star,
+        budgets[best].n_min, zetas[best], budgets[best].p_star, budgets[0].n_min, budgets[0].p_star
     )
 
 

@@ -27,9 +27,20 @@ SIDE_DIM_CAP = 4096
 # Beyond this Schmidt rank the O(M) exact residual sums are not attempted.
 EXACT_RESIDUAL_RANK_CAP = 50_000_000
 
+# Indices per chunk of the O(M) sums over j = 1..M, so their memory stays flat in M.
+_SUM_CHUNK = 1 << 16
+
+
+def _chunked_sum(m: int, term) -> float:
+    """Sum of term(j) over j = 1..m: a numpy sum per chunk of _SUM_CHUNK indices, then fsum."""
+    return math.fsum(
+        float(np.sum(term(np.arange(start, min(start + _SUM_CHUNK, m + 1)))))
+        for start in range(1, m + 1, _SUM_CHUNK)
+    )
+
 
 def harmonic_number(m: int) -> float:
-    return float(np.sum(1.0 / np.arange(1, m + 1)))
+    return _chunked_sum(m, lambda j: 1.0 / j)
 
 
 @dataclass(frozen=True)
@@ -167,9 +178,7 @@ class EmbezzleProtocolResult:
 def _extraction_overlap(d: int, m: int) -> float:
     """Inner product of the protocol output with phi+ x catalyst."""
     c = harmonic_number(m)
-    j = np.arange(1, m + 1)
-    l = -(-j // d)
-    return float(np.sum(1.0 / np.sqrt(j * l)) / (c * math.sqrt(d)))
+    return _chunked_sum(m, lambda j: 1.0 / np.sqrt(j * -(-j // d))) / (c * math.sqrt(d))
 
 
 def embezzle_protocol(

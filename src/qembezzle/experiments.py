@@ -12,11 +12,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
+import types
+import typing
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
+import mpmath
 import numpy as np
 
 from . import __version__
@@ -31,7 +35,7 @@ from .embezzle import (
     schmidt_rank_for_fidelity,
 )
 from .errors import ConfigError, QEmbezzleError
-from .fixtures import LABEL_KINDS, fixture_label, fixture_row_count, load_fixture
+from .fixtures import FIXTURE_TABLES, LABEL_KINDS, fixture_label, fixture_row_count, load_fixture
 from .qstates import SeededRng, maximally_mixed, random_density, read_density
 from .teleport import average_fidelity_from_fraction, entanglement_fraction
 
@@ -67,6 +71,8 @@ class ExperimentConfig:
     threshold: float = 0.9
     margin: float = 0.01
     m_values: list[int] = field(default_factory=list)
+    # Ignored: the sample loop is bound by the interpreter lock, so it runs in
+    # one thread. Kept, and still validated, so older configs and manifests replay.
     threads: int = 1
 
     def validate(self) -> None:
@@ -104,11 +110,25 @@ class ExperimentConfig:
         return list(default)
 
 
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation; ints fit floats, bools fit neither."""
+    if isinstance(hint, types.UnionType):
+        return any(_conforms(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_conforms(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    for key in doc:
-        if key not in known:
+    fields, hints = ExperimentConfig.__dataclass_fields__, typing.get_type_hints(ExperimentConfig)
+    for key, value in doc.items():
+        if key not in fields:
             raise ConfigError(key, "unknown configuration field")
+        if not _conforms(value, hints[key]):
+            raise ConfigError(key, f"expected {fields[key].type}, got {value!r}")
     if "experiment" not in doc:
         raise ConfigError("experiment", "missing required field")
     try:
@@ -126,18 +146,22 @@ def _resolve_states(cfg: ExperimentConfig, default: str) -> list[tuple[str, int,
         rho = random_density(cfg.d * cfg.d, SeededRng(cfg.seed).derive(0x5EED), split=(cfg.d, cfg.d))
         return [("random", 0, rho)]
     if src.startswith("file:"):
-        return [("file", 0, read_density(src[5:]))]
-    if src.startswith("fixture:"):
-        parts = src.split(":")
-        if len(parts) == 2:
-            table = parts[1]
-            return [
-                (table, row, load_fixture(table, row)) for row in range(fixture_row_count(table))
-            ]
-        if len(parts) == 3:
-            table, row = parts[1], int(parts[2])
-            return [(table, row, load_fixture(table, row))]
-    raise ConfigError("state_source", f"cannot parse {src!r}")
+        try:
+            return [("file", 0, read_density(src[5:]))]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError("state_source", f"cannot read a matrix document: {exc}") from exc
+    parts = src.split(":")
+    if parts[0] != "fixture" or len(parts) not in (2, 3):
+        raise ConfigError("state_source", f"cannot parse {src!r}")
+    table = parts[1]
+    if table not in FIXTURE_TABLES:
+        raise ConfigError("state_source", f"unknown table {table!r}, not in {FIXTURE_TABLES}")
+    rows = range(fixture_row_count(table))
+    if len(parts) == 3:
+        if not (parts[2].isdecimal() and int(parts[2]) in rows):
+            raise ConfigError("state_source", f"no row {parts[2]!r} in {len(rows)}-row {table}")
+        rows = [int(parts[2])]
+    return [(table, row, load_fixture(table, row)) for row in rows]
 
 
 def _fmt(value) -> str:
@@ -237,12 +261,7 @@ def _montecarlo_sample(cfg: ExperimentConfig, index: int) -> tuple:
 
 
 def _run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
-    indices = range(cfg.samples)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(lambda i: _montecarlo_sample(cfg, i), indices))
-    else:
-        rows = [_montecarlo_sample(cfg, i) for i in indices]
+    rows = [_montecarlo_sample(cfg, i) for i in range(cfg.samples)]
     return ResultTable(
         header=("sample", "epsilon", "avg_fidelity_unassisted", "n_mixed", "n_best", "descent_ratio"),
         rows=tuple(rows),
@@ -397,7 +416,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         "versions": {
             "qembezzle": __version__,
             "numpy": np.__version__,
+            "mpmath": mpmath.__version__,
+            "python": platform.python_version(),
         },
+        "environment": {"platform": platform.platform(), "cpu_count": os.cpu_count()},
         "wall_time_s": wall,
         "csv_path": str(csv_path),
         "csv_sha256": hashlib.sha256(csv_text.encode("utf-8")).hexdigest(),
@@ -409,14 +431,20 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
 def replay_manifest(manifest_path: str | Path, output_path: str | Path | None = None) -> RunResult:
     """Re-run the manifest's config and require a byte-identical CSV."""
-    doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    cfg = config_from_dict(doc["config"])
+    try:
+        doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+        config, digest = doc["config"], doc["csv_sha256"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError("manifest", f"cannot read a run manifest: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError("manifest", "config must be an object")
+    cfg = config_from_dict(config)
     if output_path is not None:
         cfg.output_path = str(output_path)
     result = run_experiment(cfg)
-    if result.manifest["csv_sha256"] != doc["csv_sha256"]:
+    if result.manifest["csv_sha256"] != digest:
         raise QEmbezzleError(
             "replay mismatch: csv digest "
-            f"{result.manifest['csv_sha256']} != recorded {doc['csv_sha256']}"
+            f"{result.manifest['csv_sha256']} != recorded {digest}"
         )
     return result

@@ -34,6 +34,7 @@ _CHECKSUMS = {
 }
 
 _TABLE_FILES = {"I": "table1", "II": "table2", "III": "table3", "reference": "reference"}
+FIXTURE_TABLES = tuple(_TABLE_FILES)
 
 LABEL_KINDS = {"I": "avg_fidelity", "II": None, "III": "fraction", "reference": None}
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -24,11 +25,18 @@ from qembezzle import (
     min_copies_search,
     purified_distance,
     random_density,
+    random_flat_spectrum,
     random_full_rank,
+    random_pure,
     teleport_catalyst_plan,
     average_fidelity_from_fraction,
 )
-from qembezzle.convex_split import COPIES_CAP, _CopiesObjective, _ceil_capped, _golden_refine
+from qembezzle.convex_split import (
+    COPIES_CAP,
+    _copies_budgets,
+    _lambda_max,
+    _whitened_spectra,
+)
 
 
 I4 = maximally_mixed(4, split=(2, 2))
@@ -147,21 +155,72 @@ class TestExactJoint:
                 assert p_marg <= p_joint + 1e-9
 
 
+def _oracle_objective(rho, zeta, eps_slack, p):
+    """Copy-count surrogate lambda_max / slack^2 from dense eigensolves of tau(p)."""
+    phi = max_entangled_density(zeta.split_a).mat
+    one_minus_fz = max(0.0, 1.0 - entanglement_fraction(zeta))
+    p = np.asarray(p, dtype=float)
+    taus = p[:, None, None] * phi + (1.0 - p)[:, None, None] * zeta.mat
+    w, v = np.linalg.eigh(taus)
+    slack = eps_slack - np.sqrt((1.0 - p) * one_minus_fz)
+    ok = (w[:, 0] > 1e-13 * w[:, -1]) & (slack > 0)
+    out = np.full(p.shape, np.inf)
+    inv_sqrt = (v[ok] / np.sqrt(w[ok])[:, None, :]) @ np.conj(np.transpose(v[ok], (0, 2, 1)))
+    out[ok] = np.linalg.eigvalsh(inv_sqrt @ rho.mat @ inv_sqrt)[:, -1] / slack[ok] ** 2
+    return out
+
+
+def _oracle_golden(f, lo, hi, tol):
+    """Scalar golden-section search; returns every (p, f(p)) it visits."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    visited = [(c, fc), (d, fd)]
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+            visited.append((c, fc))
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+            visited.append((d, fd))
+    return visited
+
+
+def _oracle_ceil(g):
+    if not math.isfinite(g) or g >= COPIES_CAP:
+        return COPIES_CAP
+    return max(1, int(math.ceil(g)))
+
+
 def dense_grid_oracle(rho, zeta, epsilon, points=10_000):
-    """Reference minimiser: dense linear + log grid plus golden polish."""
-    obj = _CopiesObjective(rho, zeta, math.sqrt(epsilon * 3 / 2))
-    p_lo, p_hi = obj.p_floor(), 1 - 1e-6
+    """Reference minimiser: dense linear + log grid plus golden polish.
+
+    Shares no code with the production search: lambda_max comes from an
+    eigendecomposition of tau^(-1/2) rho tau^(-1/2) at every point.
+    """
+    eps_slack = math.sqrt(epsilon * 3 / 2)
+    one_minus_fz = max(0.0, 1.0 - entanglement_fraction(zeta))
+    p_lo = 0.0 if one_minus_fz <= eps_slack**2 else 1.0 - eps_slack**2 / one_minus_fz
+    p_hi = 1 - 1e-6
     if p_lo >= p_hi:
         return COPIES_CAP
     lin = np.linspace(p_lo, p_hi, points)
     log = 1.0 - np.logspace(np.log10(max(1 - p_lo, 1e-6)), -6, 2000)
     grid = np.clip(np.unique(np.concatenate([lin, log])), p_lo, p_hi)
-    vals = obj.batch(grid)
+    vals = _oracle_objective(rho, zeta, eps_slack, grid)
     best = int(np.argmin(vals))
     lo = max(p_lo, grid[best] - 2 * (p_hi - p_lo) / points)
     hi = min(p_hi, grid[best] + 2 * (p_hi - p_lo) / points)
-    visited = list(zip(grid.tolist(), vals.tolist())) + _golden_refine(obj, lo, hi, 1e-7)
-    return min(_ceil_capped(g) for _, g in visited)
+    polish = _oracle_golden(
+        lambda p: float(_oracle_objective(rho, zeta, eps_slack, [p])[0]), lo, hi, 1e-7
+    )
+    visited = list(zip(grid.tolist(), vals.tolist())) + polish
+    return min(_oracle_ceil(g) for _, g in visited)
 
 
 class TestMinCopies:
@@ -198,6 +257,64 @@ class TestMinCopies:
     def test_epsilon_domain(self):
         with pytest.raises(DomainError):
             min_copies(random_density(4, SeededRng(1), split=(2, 2)), I4, 1.0)
+
+
+def _mp_lambda_max(rho, zeta, p, dps=40):
+    """Reference lambda_max of tau^(-1/2) rho tau^(-1/2) from 40-digit eigendecompositions."""
+    d = zeta.split_a
+    phi = max_entangled_density(d).mat
+    with mp.workdps(dps):
+        # tau is formed in extended precision, so p = 1 - 1e-6 loses nothing to rounding.
+        tau = mp.mpf(p) * mp.matrix(phi.tolist()) + (1 - mp.mpf(p)) * mp.matrix(zeta.mat.tolist())
+        evals, evecs = mp.eighe(tau)
+        inv_sqrt = evecs * mp.diag([1 / mp.sqrt(e) for e in evals]) * evecs.H
+        pivot = inv_sqrt * mp.matrix(rho.mat.tolist()) * inv_sqrt
+        return float(max(mp.eighe((pivot + pivot.H) / 2, eigvals_only=True)))
+
+
+def _resource(kind, d, seed):
+    if kind == "mixed":
+        return random_density(d * d, SeededRng(seed), split=(d, d))
+    if kind == "pure":
+        return random_pure(d * d, SeededRng(seed)).density().with_split(d, d)
+    return max_entangled_density(d)
+
+
+def _catalyst(kind, d, seed):
+    if kind == "mixed":
+        return maximally_mixed(d * d, split=(d, d))
+    return random_flat_spectrum(d * d, SeededRng(seed), split=(d, d))
+
+
+class TestSecularEvaluator:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("rho_kind", ["mixed", "pure", "phi+"])
+    @pytest.mark.parametrize("zeta_kind", ["mixed", "flat"])
+    def test_matches_extended_precision_eigh(self, d, rho_kind, zeta_kind):
+        rho = _resource(rho_kind, d, 31 + d)
+        zeta = _catalyst(zeta_kind, d, 77 + d)
+        a, w = _whitened_spectra(rho, [zeta])
+        ps = [0.0, 0.637, 1 - 1e-6]
+        got = _lambda_max(a, w, np.array([ps]))[0]
+        for p, value in zip(ps, got):
+            want = _mp_lambda_max(rho, zeta, p)
+            assert abs(value - want) <= 1e-12 * want, (p, value, want)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_block_size_does_not_change_budgets(self, d):
+        rho = random_density(d * d, SeededRng(41), split=(d, d))
+        zetas = [maximally_mixed(d * d, split=(d, d))] + [
+            random_flat_spectrum(d * d, SeededRng(300 + i), split=(d, d)) for i in range(20)
+        ]
+        eps_slack = math.sqrt(0.3 * (d + 1) / d)
+        runs = [_copies_budgets(rho, zetas, eps_slack, block=b) for b in (1, 7, len(zetas))]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_rank_deficient_zeta_rejected(self):
+        rho = random_density(4, SeededRng(8), split=(2, 2))
+        zeta = random_pure(4, SeededRng(9)).density().with_split(2, 2)
+        with pytest.raises(DomainError):
+            min_copies(rho, zeta, 0.1)
 
 
 class TestSearch:

@@ -34,6 +34,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", "5"), ("d", 2.0), ("candidates", True), ("epsilon_grid", 0.1),
+         ("m_values", [4, "8"]), ("state_source", 3), ("threshold", "0.9")],
+    )
+    def test_mistyped_field_rejected_with_path(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"experiment": "nmin", field: value})
+        assert err.value.field == field
+
+    def test_int_accepted_for_float_field(self):
+        assert config_from_dict({"experiment": "qutrit-map", "threshold": 1}).threshold == 1
+
     def test_defaults_valid(self):
         cfg = config_from_dict({"experiment": "fidelity"})
         assert cfg.d == 2 and cfg.seed == 0
@@ -108,7 +121,8 @@ class TestRuns:
         result = run_experiment(cfg)
         doc = json.loads(result.manifest_path.read_text())
         assert doc["config"]["experiment"] == "consumption"
-        assert "qembezzle" in doc["versions"]
+        assert set(doc["versions"]) == {"qembezzle", "numpy", "mpmath", "python"}
+        assert set(doc["environment"]) == {"platform", "cpu_count"}
         assert doc["wall_time_s"] >= 0.0
         assert len(doc["csv_sha256"]) == 64
 
@@ -177,6 +191,28 @@ class TestCli:
     def test_unreadable_config_exit_code(self, tmp_path):
         out = self._run("nmin", "--config", "missing.json", cwd=tmp_path)
         assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize(
+        "source", ["fixture:I:x", "file:/missing.json", "fixture:nope:0", "fixture:I:99"]
+    )
+    def test_bad_state_source_exit_code(self, tmp_path, source):
+        out = self._run("fidelity", "--state-source", source, "--out", "f.csv", cwd=tmp_path)
+        assert out.returncode == 2, out.stderr
+        assert "config error: state_source" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_mistyped_config_value_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": "5"}))
+        out = self._run("fidelity", "--config", str(cfg_path), "--out", "f.csv", cwd=tmp_path)
+        assert out.returncode == 2, out.stderr
+        assert "config error: seed" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_missing_manifest_exit_code(self, tmp_path):
+        out = self._run("replay", "--manifest", "missing.json", cwd=tmp_path)
+        assert out.returncode == 2, out.stderr
         assert "Traceback" not in out.stderr
 
     def test_numerical_failure_exit_code(self, tmp_path):
