@@ -61,147 +61,74 @@ def pure_average_fidelity(probs, d: int) -> float:
     return (s * s + 1.0) / (d + 1.0)
 
 
-def _objective(p: np.ndarray) -> float:
-    s = float(np.sum(np.sqrt(np.clip(p, 0.0, None))))
-    return s * s
-
-
 def _entropy_rows(rows: np.ndarray) -> np.ndarray:
     safe = np.where(rows > 0, rows, 1.0)
     return -np.sum(rows * np.log2(safe), axis=1)
 
 
-def _objective_rows(rows: np.ndarray) -> np.ndarray:
-    return np.sum(np.sqrt(np.clip(rows, 0.0, None)), axis=1) ** 2
+def _simplex_grid(resolution: int) -> np.ndarray:
+    """All qutrit compositions of ``resolution``, as probability rows."""
+    i, j = np.meshgrid(np.arange(resolution + 1), np.arange(resolution + 1), indexing="ij")
+    mask = i + j <= resolution
+    i, j = i[mask], j[mask]
+    return np.stack([i, j, resolution - i - j], axis=1) / resolution
 
 
-def _simplex_grid(d: int, resolution: int) -> np.ndarray:
-    """All compositions of ``resolution`` into d parts, as probability rows."""
-    if d == 1:
-        return np.ones((1, 1))
-    if d == 2:
-        i = np.arange(resolution + 1)
-        return np.stack([i, resolution - i], axis=1) / resolution
-    if d == 3:
-        i, j = np.meshgrid(np.arange(resolution + 1), np.arange(resolution + 1), indexing="ij")
-        mask = i + j <= resolution
-        i, j = i[mask], j[mask]
-        return np.stack([i, j, resolution - i - j], axis=1) / resolution
-    rows = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            rows.append(prefix + [remaining])
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], resolution, d)
-    return np.asarray(rows, dtype=float) / resolution
-
-
-def _pattern_refine(
-    start: np.ndarray, budget: float, step0: float, step_floor: float = 1e-7
-) -> tuple[np.ndarray, float]:
-    """Pairwise-transfer pattern search on the entropy-capped simplex."""
-    cur = np.asarray(start, dtype=float).copy()
-    best = _objective(cur)
-    step = step0
-    d = cur.size
-    while step > step_floor:
-        improved = False
-        for i in range(d):
-            if cur[i] <= 0:
-                continue
-            for j in range(d):
-                if i == j:
-                    continue
-                t = min(step, cur[i])
-                cand = cur.copy()
-                cand[i] -= t
-                cand[j] += t
-                if shannon_entropy(cand) > budget + _ENTROPY_SLACK:
-                    continue
-                val = _objective(cand)
-                if val > best + 1e-15:
-                    cur, best = cand, val
-                    improved = True
-        if not improved:
-            step /= 2.0
-    return cur, best
-
-
-def _two_level_entropy(a: float, r: int, dd: int) -> float:
-    """Entropy of (a x r, b x (dd - r)) with b filling the remaining mass."""
+def _two_level_entropy(a: np.ndarray, r: int, dd: int) -> np.ndarray:
+    """Entropy of (a x r, b x (dd - r)) with b filling the remaining mass, for a > 0."""
     b = (1.0 - r * a) / (dd - r)
-    total = 0.0
-    if a > 0:
-        total -= r * a * math.log2(a)
-    if b > 0:
-        total -= (dd - r) * b * math.log2(b)
-    return total
+    return -(r * a * np.log2(a)) - (dd - r) * b * np.log2(np.where(b > 0, b, 1.0))
 
 
-def _entropy_capped_max(d: int, budget: float) -> float:
-    """Exact maximum of (sum sqrt mu)^2 subject to S(mu) <= budget.
+def _entropy_capped_max(d: int, budget) -> np.ndarray:
+    """Exact maximum of (sum sqrt mu)^2 subject to S(mu) <= budget, per budget.
 
     At a maximiser the strictly positive coordinates take at most two
     distinct values, so it suffices to scan, on every face of the simplex,
     the one-dimensional two-level families and solve S = budget on each by
     bisection (entropy decreases monotonically away from the face-uniform
-    point along these families).
+    point along these families). Every budget of the array is bisected in
+    lockstep, one family at a time; the result has the budget's shape.
     """
-    best = 1.0  # a deterministic corner is always feasible
+    budget = np.asarray(budget, dtype=float)
+    caps = budget.ravel()
+    best = np.ones_like(caps)  # a deterministic corner is always feasible
     for dd in range(2, d + 1):
-        if math.log2(dd) <= budget + _ENTROPY_SLACK:
-            best = max(best, float(dd))  # face-uniform point
-            continue
+        uniform = math.log2(dd) <= caps + _ENTROPY_SLACK
+        best[uniform] = np.maximum(best[uniform], dd)  # face-uniform point
         for r in range(1, dd):
-            if math.log2(r) > budget + _ENTROPY_SLACK:
-                continue
-            lo, hi = 1.0 / dd, 1.0 / r - 1e-16
+            idx = np.flatnonzero(~uniform & (math.log2(r) <= caps + _ENTROPY_SLACK))
+            cap = caps[idx]
+            lo, hi = np.full(idx.size, 1.0 / dd), np.full(idx.size, 1.0 / r - 1e-16)
             for _ in range(100):
                 mid = 0.5 * (lo + hi)
-                if _two_level_entropy(mid, r, dd) > budget:
-                    lo = mid
-                else:
-                    hi = mid
-            a = hi
-            b = (1.0 - r * a) / (dd - r)
+                above = _two_level_entropy(mid, r, dd) > cap
+                lo = np.where(above, mid, lo)
+                hi = np.where(above, hi, mid)
+            b = (1.0 - r * hi) / (dd - r)
             # A vanishing second level duplicates a lower-dimensional face.
-            if b < 1e-12 or _two_level_entropy(a, r, dd) > budget + _ENTROPY_SLACK:
-                continue
-            val = (r * math.sqrt(a) + (dd - r) * math.sqrt(b)) ** 2
-            best = max(best, val)
-    return best
+            ok = (b >= 1e-12) & (_two_level_entropy(hi, r, dd) <= cap + _ENTROPY_SLACK)
+            val = (r * np.sqrt(hi[ok]) + (dd - r) * np.sqrt(b[ok])) ** 2
+            best[idx[ok]] = np.maximum(best[idx[ok]], val)
+    return best.reshape(budget.shape)
 
 
 def correlated_fidelity_bound(probs, d: int, grid: int = 200) -> float:
     """Best average fidelity certified for an unbounded correlated catalyst.
 
     Maximises the pure-state fidelity over same-dimension targets whose
-    Shannon entropy stays within the input's: simplex grid search, then
-    refinement by pairwise-transfer descent and by solving the two-level
-    stationarity families on the entropy level set. The input itself is
-    always feasible, so the result never falls below its unassisted
-    fidelity.
+    Shannon entropy stays within the input's, exactly, by the two-level
+    family solver. The input itself is always feasible, so the result never
+    falls below its unassisted fidelity. ``grid`` is unused: it is still
+    validated (>= 100) so older callers keep working.
     """
     if grid < 100:
         raise DomainError(f"grid must be >= 100, got {grid}")
     p = _as_probs(probs)
     if p.size != d:
         raise DomainError(f"expected a length-{d} vector, got {p.size}")
-    budget = shannon_entropy(p)
-    pts = _simplex_grid(d, grid)
-    feasible = pts[_entropy_rows(pts) <= budget + _ENTROPY_SLACK]
-    cands = np.vstack([feasible, p[None, :]])
-    values = _objective_rows(cands)
-    starts = cands[np.argsort(values)[-3:]]
-    best = _objective(p)
-    for start in starts:
-        _, val = _pattern_refine(start, budget, step0=1.0 / grid)
-        best = max(best, val)
-    best = max(best, _entropy_capped_max(d, budget))
+    s = float(np.sum(np.sqrt(p)))
+    best = max(s * s, float(_entropy_capped_max(d, shannon_entropy(p))))
     return (best + 1.0) / (d + 1.0)
 
 
@@ -237,8 +164,8 @@ def qutrit_region_map(
     """Label every qutrit Schmidt simplex point for both catalyst families.
 
     Correlated panel: already above the threshold, boostable per the
-    entropy-constrained bound (evaluated at its refinement limit on the
-    two-level stationarity families), or not guaranteed. Embezzling panel:
+    entropy-constrained bound (solved exactly for the whole grid at once
+    by the lockstep two-level family solver), or not guaranteed. Embezzling panel:
     already above or boostable, with the catalyst rank that certifies the
     threshold plus the margin attached to each boostable point.
     """
@@ -252,34 +179,23 @@ def qutrit_region_map(
         raise DomainError("epsilon margin leaves no room below the threshold")
     rank = schmidt_rank_for_fidelity(d, eps)
 
+    pts = _simplex_grid(resolution)
+    f = (np.sum(np.sqrt(pts), axis=1) ** 2 + 1.0) / (d + 1.0)
+    bound = np.maximum((_entropy_capped_max(d, _entropy_rows(pts)) + 1.0) / (d + 1.0), f)
     points = []
-    for row in _simplex_grid(d, resolution):
-        f_val = (np.sum(np.sqrt(row)) ** 2 + 1.0) / (d + 1.0)
-        budget = shannon_entropy(row)
-        bound = (_entropy_capped_max(d, budget) + 1.0) / (d + 1.0)
-        bound = max(bound, f_val)
+    for row, f_val, b_val in zip(pts.tolist(), f.tolist(), bound.tolist()):
         if f_val >= threshold:
-            label_c = RegionLabel.ALREADY_ABOVE
-            label_e = RegionLabel.ALREADY_ABOVE
+            label_c = label_e = RegionLabel.ALREADY_ABOVE
             need = 0
         else:
             label_c = (
                 RegionLabel.CORRELATED_BOOSTABLE
-                if bound >= threshold
+                if b_val >= threshold
                 else RegionLabel.NOT_GUARANTEED
             )
             label_e = RegionLabel.EMBEZZLING_BOOSTABLE
             need = rank
-        points.append(
-            RegionPoint(
-                weights=tuple(float(x) for x in row),
-                fidelity=float(f_val),
-                correlated_bound=float(bound),
-                label_correlated=label_c,
-                label_embezzling=label_e,
-                rank_required=need,
-            )
-        )
+        points.append(RegionPoint(tuple(row), f_val, b_val, label_c, label_e, need))
     return RegionMap(
         resolution=resolution,
         threshold=threshold,

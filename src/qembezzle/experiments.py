@@ -164,6 +164,19 @@ def _resolve_states(cfg: ExperimentConfig, default: str) -> list[tuple[str, int,
     return [(table, row, load_fixture(table, row)) for row in rows]
 
 
+def _resolve_states_at_d(cfg: ExperimentConfig, default: str) -> list[tuple[str, int, object]]:
+    """``_resolve_states`` for experiments that run at ``cfg.d``: every split must be d x d."""
+    states = _resolve_states(cfg, default)
+    for origin, row, rho in states:
+        if rho.split is not None and rho.split != (cfg.d, cfg.d):
+            raise ConfigError(
+                "state_source",
+                f"{origin} row {row} is split {rho.split_a}x{rho.split_b}, "
+                f"which does not match d={cfg.d}",
+            )
+    return states
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         if math.isnan(value):
@@ -229,7 +242,7 @@ def _run_fidelity(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _run_nmin(cfg: ExperimentConfig) -> ResultTable:
-    _, _, rho = _resolve_states(cfg, "fixture:reference:0")[0]
+    _, _, rho = _resolve_states_at_d(cfg, "fixture:reference:0")[0]
     rows = []
     for idx, eps in enumerate(cfg.eps_values()):
         query = CatalystSearchQuery(
@@ -329,7 +342,7 @@ def _run_qutrit_map(cfg: ExperimentConfig) -> ResultTable:
 def _run_distill(cfg: ExperimentConfig) -> ResultTable:
     rows = []
     zeta = maximally_mixed(cfg.d * cfg.d, split=(cfg.d, cfg.d))
-    for table, row, state in _resolve_states(cfg, "fixture:III"):
+    for table, row, state in _resolve_states_at_d(cfg, "fixture:III"):
         for eps in cfg.eps_values():
             plan_cs = convex_split_plan(state, zeta, eps)
             rows.append(
@@ -389,6 +402,23 @@ _RUNNERS = {
 }
 
 
+def _write_files(files: list[tuple[Path, str]]) -> None:
+    """Write each (path, text) to a temp file beside its path, then rename them all.
+
+    A path is replaced only once every temp file is written in full, so a
+    failed write leaves no partial output, and no temp file stays behind.
+    """
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in files]
+    try:
+        for tmp, (_, text) in zip(temps, files):
+            tmp.write_text(text, encoding="utf-8", newline="")
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+
+
 @dataclass(frozen=True)
 class RunResult:
     table: ResultTable
@@ -408,7 +438,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     csv_path = Path(cfg.output_path)
     if csv_path.parent != Path(""):
         csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text(csv_text, encoding="utf-8", newline="")
 
     manifest = {
         "config": asdict(cfg),
@@ -425,7 +454,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         "csv_sha256": hashlib.sha256(csv_text.encode("utf-8")).hexdigest(),
     }
     manifest_path = csv_path.with_name(csv_path.name + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+    _write_files([(csv_path, csv_text), (manifest_path, json.dumps(manifest, indent=1) + "\n")])
     return RunResult(table=table, csv_path=csv_path, manifest_path=manifest_path, manifest=manifest)
 
 

@@ -1,5 +1,7 @@
 """Correlated-catalyst bound and the qutrit region map."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,51 @@ from qembezzle import (
     shannon_entropy,
 )
 from qembezzle.correlated import _entropy_capped_max, embezzling_rank_certifies
+
+
+def _scalar_two_level_entropy(a, r, dd):
+    b = (1.0 - r * a) / (dd - r)
+    total = 0.0
+    if a > 0:
+        total -= r * a * math.log2(a)
+    if b > 0:
+        total -= (dd - r) * b * math.log2(b)
+    return total
+
+
+def _scalar_capped_max(d, budget, slack=1e-12):
+    """One budget at a time: face-uniform points, then bisection on each two-level family."""
+    best = 1.0
+    for dd in range(2, d + 1):
+        if math.log2(dd) <= budget + slack:
+            best = max(best, float(dd))
+            continue
+        for r in range(1, dd):
+            if math.log2(r) > budget + slack:
+                continue
+            lo, hi = 1.0 / dd, 1.0 / r - 1e-16
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                if _scalar_two_level_entropy(mid, r, dd) > budget:
+                    lo = mid
+                else:
+                    hi = mid
+            b = (1.0 - r * hi) / (dd - r)
+            if b < 1e-12 or _scalar_two_level_entropy(hi, r, dd) > budget + slack:
+                continue
+            best = max(best, (r * math.sqrt(hi) + (dd - r) * math.sqrt(b)) ** 2)
+    return best
+
+
+def _qutrit_grid(resolution):
+    i, j = np.meshgrid(np.arange(resolution + 1), np.arange(resolution + 1), indexing="ij")
+    keep = i + j <= resolution
+    i, j = i[keep], j[keep]
+    return np.stack([i, j, resolution - i - j], axis=1) / resolution
+
+
+def _entropies(rows):
+    return np.array([-sum(x * math.log2(x) for x in row if x > 0) for row in rows])
 
 
 class TestShannonEntropy:
@@ -89,6 +136,23 @@ class TestCorrelatedBound:
             fine = correlated_fidelity_bound(p, 3, grid=1500)
             assert abs(coarse - fine) < 1e-3
 
+    def test_exact_bound_dominates_fine_grid(self):
+        pts = _qutrit_grid(1500)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ent = -np.sum(np.where(pts > 0, pts * np.log2(pts), 0.0), axis=1)
+        order = np.argsort(ent)
+        ent_sorted = ent[order]
+        best = np.maximum.accumulate((np.sum(np.sqrt(pts), axis=1) ** 2)[order])
+        gen = np.random.default_rng(5)
+        for _ in range(8):
+            p = gen.dirichlet([1, 1, 1])
+            budget = -float(np.sum(p * np.log2(p)))
+            k = np.searchsorted(ent_sorted, budget + 1e-12, side="right")
+            grid_max = (best[k - 1] + 1.0) / 4.0
+            exact = correlated_fidelity_bound(p, 3)
+            assert exact >= grid_max - 1e-12
+            assert exact - grid_max < 1e-3
+
     def test_monotone_under_budget_relaxation(self):
         budgets = np.linspace(0.0, np.log2(3), 40)
         values = [_entropy_capped_max(3, b) for b in budgets]
@@ -97,6 +161,29 @@ class TestCorrelatedBound:
     def test_grid_minimum(self):
         with pytest.raises(DomainError):
             correlated_fidelity_bound([0.5, 0.5, 0.0], 3, grid=10)
+
+
+class TestLockstepSolver:
+    def test_matches_scalar_bisection_on_qutrit_map_budgets(self):
+        budgets = _entropies(_qutrit_grid(200))
+        got = _entropy_capped_max(3, budgets)
+        want = np.array([_scalar_capped_max(3, b) for b in budgets])
+        assert got.shape == budgets.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_scalar_bisection_on_random_budgets(self, d):
+        gen = np.random.default_rng(d)
+        budgets = np.concatenate(
+            [gen.uniform(0.0, math.log2(d), 300), [0.0, 1.0, math.log2(d), math.log2(d) + 0.5]]
+        )
+        got = _entropy_capped_max(d, budgets)
+        want = np.array([_scalar_capped_max(d, b) for b in budgets])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_scalar_budget_keeps_its_shape(self):
+        assert _entropy_capped_max(3, 0.0).shape == ()
+        assert float(_entropy_capped_max(3, math.log2(3))) == 3.0
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,9 @@
 """Embezzling states: construction, rearrangement, extraction, residuals."""
 
+import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -231,6 +233,42 @@ class TestResidual:
             assert abs(quad - residual_fidelity_exact(d, m)) < 1e-12
             assert abs(quad - residual_fidelity_closed_form(d, m)) < 1e-10
 
+    def test_block_is_built_on_access(self):
+        res = catalyst_residual(2, 12)
+        assert "block" not in {f.name for f in dataclasses.fields(res)}
+        assert res.block.shape == (12, 12)
+        assert not res.block.flags.writeable
+
     def test_trivial_dimension_no_disturbance(self):
         assert residual_fidelity_exact(1, 5) == pytest.approx(1.0, abs=1e-12)
         assert residual_distance_bound(1, 5) == 0.0
+
+
+def _mp_closed_form(d, m):
+    """The closed form's double sum, term by term, in 50-digit arithmetic."""
+    with mp.workdps(50):
+        c = mp.fsum(mp.mpf(1) / j for j in range(1, m + 1))
+        total = mp.mpf(0)
+        for mm in range(1, m + 1):
+            big_k = -(-mm // d)
+            total += mp.mpf(1) / (mm * big_k)
+            for i in range(1, big_k):
+                k_i = mm - ((mm - 1) // d) * d + (i - 1) * d
+                total += 2 / mp.sqrt(mp.mpf(i * k_i * mm * big_k))
+        return float(total / (c * c))
+
+
+class TestClosedFormPrefixSums:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_high_precision_double_sum(self, d):
+        for m in range(d, 65):
+            assert abs(residual_fidelity_closed_form(d, m) - _mp_closed_form(d, m)) < 1e-12, m
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_grouped_exact_form_to_large_rank(self, d):
+        for m in (*range(max(d, 4), 2045, 8), 2044):
+            diff = residual_fidelity_closed_form(d, m) - residual_fidelity_exact(d, m)
+            assert abs(diff) < 1e-12, m
+
+    def test_trivial_dimension(self):
+        assert residual_fidelity_closed_form(1, 7) == pytest.approx(1.0, abs=1e-12)

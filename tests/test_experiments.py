@@ -1,5 +1,6 @@
 """Experiment harness and CLI: configs, CSV determinism, manifests."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -137,6 +138,51 @@ class TestRuns:
             replay_manifest(bad, tmp_path / "y.csv")
 
 
+class TestPinnedTables:
+    """Digests of tables whose values are deterministic functions of the config."""
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (
+                {"experiment": "qutrit-map", "resolution": 100},
+                "45069680a17f3c105e9eec68bcba598788de0381e1f40cfd0b339fe1742e5cb7",
+            ),
+            (
+                {"experiment": "consumption"},
+                "fcaa7ef3568234cc9b6c4d59cee9ad4e078cd30067cd4e4335c6dea772a01dd7",
+            ),
+        ],
+    )
+    def test_csv_digest(self, tmp_path, config, digest):
+        cfg = ExperimentConfig(**config, output_path=str(tmp_path / "t.csv"))
+        result = run_experiment(cfg)
+        assert hashlib.sha256(result.csv_path.read_bytes()).hexdigest() == digest
+
+
+class TestAtomicWrites:
+    def test_run_leaves_no_temp_files(self, tmp_path):
+        cfg = ExperimentConfig(experiment="consumption", m_values=[4], output_path=str(tmp_path / "c.csv"))
+        run_experiment(cfg)
+        run_experiment(cfg)  # and again over the existing files
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.csv.manifest.json"]
+
+    def test_manifest_write_failure_leaves_no_partial_csv(self, tmp_path, monkeypatch):
+        write_text = Path.write_text
+
+        def failing(path, text, *args, **kwargs):
+            if ".manifest.json." in path.name:
+                write_text(path, text[: len(text) // 2], *args, **kwargs)
+                raise OSError(28, "No space left on device")
+            return write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing)
+        cfg = ExperimentConfig(experiment="consumption", m_values=[4], output_path=str(tmp_path / "c.csv"))
+        with pytest.raises(OSError):
+            run_experiment(cfg)
+        assert list(tmp_path.iterdir()) == []
+
+
 # The directory holding the qembezzle package this process imported. The CLI
 # subprocesses run in a temp directory, where a relative PYTHONPATH such as
 # "src" no longer resolves, so this absolute path goes first on theirs and they
@@ -201,6 +247,15 @@ class TestCli:
         assert out.returncode == 2, out.stderr
         assert "config error: state_source" in out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("experiment", ["nmin", "distill"])
+    def test_state_split_must_match_d(self, tmp_path, experiment):
+        out = self._run(experiment, "--d", "3", "--candidates", "2", "--out", "x.csv", cwd=tmp_path)
+        assert out.returncode == 2, out.stderr
+        assert "config error: state_source" in out.stderr
+        assert "d=3" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "x.csv").exists()
 
     def test_mistyped_config_value_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
