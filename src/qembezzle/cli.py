@@ -47,20 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_FIELDS = (
-    "seed",
-    "threads",
-    "d",
-    "epsilon",
-    "epsilon_grid",
-    "candidates",
-    "samples",
-    "state_source",
-    "resolution",
-    "threshold",
-)
-
-
 def _config_from_args(args: argparse.Namespace) -> dict:
     doc: dict = {}
     if args.config:
@@ -74,11 +60,11 @@ def _config_from_args(args: argparse.Namespace) -> dict:
         if not isinstance(doc, dict):
             raise ConfigError("config", "top level must be an object")
     doc["experiment"] = args.command
-    for name in _FLAG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
+    # Every other flag of _add_common is named after the config field it overrides.
+    for name, value in vars(args).items():
+        if name not in ("command", "config", "out") and value is not None:
             doc[name] = value
-    if getattr(args, "out", None):
+    if args.out:
         doc["output_path"] = args.out
     return doc
 

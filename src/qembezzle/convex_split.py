@@ -81,9 +81,7 @@ def convex_split_marginal(rho: DensityMatrix, tau: DensityMatrix, n: int) -> Den
     return DensityMatrix._trusted(mat, split=rho.split or tau.split)
 
 
-def convex_split_joint(
-    rho: DensityMatrix, tau: DensityMatrix, n: int, *, dim_cap: int = DEFAULT_DIM_CAP
-) -> tuple[DensityMatrix, float]:
+def convex_split_joint(rho: DensityMatrix, tau: DensityMatrix, n: int) -> tuple[DensityMatrix, float]:
     """Exact n-copy mixture (rho in a uniformly random slot) and its distance to tau^n.
 
     Materialises the full (dim)^n space, so only small instances are
@@ -95,8 +93,8 @@ def convex_split_joint(
     if rho.dim != tau.dim:
         raise DomainError(f"dimension mismatch: {rho.dim} vs {tau.dim}")
     total = rho.dim**n
-    if total > dim_cap:
-        raise CapacityExceeded(f"joint dimension {total} exceeds cap {dim_cap}")
+    if total > DEFAULT_DIM_CAP:
+        raise CapacityExceeded(f"joint dimension {total} exceeds cap {DEFAULT_DIM_CAP}")
     layers = []
     for slot in range(n):
         factors = [tau.mat] * n
@@ -246,11 +244,11 @@ def _p_grid(p_lo: float) -> np.ndarray:
 
 
 def _copies_budgets(
-    rho: DensityMatrix, zetas: list[DensityMatrix], eps_slack: float, *, block=_CANDIDATE_BLOCK
+    rho: DensityMatrix, zetas: list[DensityMatrix], eps_slack: float
 ) -> list[CopiesBudget]:
     """Minimise ceil(2^k(p) / (eps_slack - sqrt((1-p)(1-F(zeta))))^2) over p, per candidate.
 
-    The p-grid is scored in blocks of ``block`` candidates; then every live
+    The p-grid is scored in blocks of _CANDIDATE_BLOCK candidates; then every live
     candidate takes one golden-section step around its best grid point per
     array call. p_star is the smallest visited p reaching the fewest copies.
     """
@@ -272,8 +270,8 @@ def _copies_budgets(
         return values
 
     live = np.flatnonzero(p_lo < _P_CEILING)
-    for first in range(0, live.size, block):
-        rows = live[first : first + block]
+    for first in range(0, live.size, _CANDIDATE_BLOCK):
+        rows = live[first : first + _CANDIDATE_BLOCK]
         grids = [_p_grid(float(p_lo[r])) for r in rows]
         # Each grid ends at _P_CEILING, so padding with it repeats a visited point.
         pts = np.full((rows.size, max(g.size for g in grids)), _P_CEILING)

@@ -113,17 +113,14 @@ def _entropy_capped_max(d: int, budget) -> np.ndarray:
     return best.reshape(budget.shape)
 
 
-def correlated_fidelity_bound(probs, d: int, grid: int = 200) -> float:
+def correlated_fidelity_bound(probs, d: int) -> float:
     """Best average fidelity certified for an unbounded correlated catalyst.
 
     Maximises the pure-state fidelity over same-dimension targets whose
     Shannon entropy stays within the input's, exactly, by the two-level
     family solver. The input itself is always feasible, so the result never
-    falls below its unassisted fidelity. ``grid`` is unused: it is still
-    validated (>= 100) so older callers keep working.
+    falls below its unassisted fidelity.
     """
-    if grid < 100:
-        raise DomainError(f"grid must be >= 100, got {grid}")
     p = _as_probs(probs)
     if p.size != d:
         raise DomainError(f"expected a length-{d} vector, got {p.size}")

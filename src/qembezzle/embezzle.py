@@ -54,17 +54,17 @@ class EmbezzlingState:
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", _frozen(self.amplitudes))
 
-    def vector(self, *, dim_cap: int = DEFAULT_DIM_CAP) -> PureStateVector:
+    def vector(self) -> PureStateVector:
         """Dense state on the M x M pair (amplitudes on the diagonal kets)."""
         m = self.rank
-        if m * m > dim_cap:
-            raise CapacityExceeded(f"dense dimension {m * m} exceeds cap {dim_cap}")
+        if m * m > DEFAULT_DIM_CAP:
+            raise CapacityExceeded(f"dense dimension {m * m} exceeds cap {DEFAULT_DIM_CAP}")
         amps = np.zeros(m * m, dtype=complex)
         amps[:: m + 1] = self.amplitudes
         return PureStateVector(amps, m, m)
 
-    def density(self, *, dim_cap: int = DEFAULT_DIM_CAP) -> DensityMatrix:
-        return self.vector(dim_cap=dim_cap).density()
+    def density(self) -> DensityMatrix:
+        return self.vector().density()
 
 
 def embezzling_state(m: int) -> EmbezzlingState:
@@ -140,11 +140,11 @@ class RearrangementPermutation:
         out[self.k_index, self.l_index] = coefficients
         return out
 
-    def matrix(self, *, dim_cap: int = SIDE_DIM_CAP) -> np.ndarray:
+    def matrix(self) -> np.ndarray:
         """Dense one-side permutation unitary on the d*M-dimensional register."""
         n = self.d * self.rank
-        if n > dim_cap:
-            raise CapacityExceeded(f"side dimension {n} exceeds cap {dim_cap}")
+        if n > SIDE_DIM_CAP:
+            raise CapacityExceeded(f"side dimension {n} exceeds cap {SIDE_DIM_CAP}")
         u = np.zeros((n, n))
         src = (np.arange(self.d)[:, None] * self.rank + np.arange(self.rank)[None, :]).ravel()
         dst = (self.k_index * self.rank + self.l_index).ravel()
@@ -181,15 +181,13 @@ def _extraction_overlap(d: int, m: int) -> float:
     return _chunked_sum(m, lambda j: 1.0 / np.sqrt(j * -(-j // d))) / (c * math.sqrt(d))
 
 
-def embezzle_protocol(
-    rho: DensityMatrix, m: int, *, dim_cap: int = DEFAULT_DIM_CAP
-) -> EmbezzleProtocolResult:
+def embezzle_protocol(rho: DensityMatrix, m: int) -> EmbezzleProtocolResult:
     """Run the extraction protocol: discard the pair, prepare |11>, rearrange.
 
     The output never depends on ``rho`` beyond its local dimension (the
     protocol discards it), which is what makes the catalyst universal. The
     dense joint state on (original pair) x (catalyst pair) is attached when
-    its dimension d^2 M^2 fits ``dim_cap``.
+    its dimension d^2 M^2 fits ``DEFAULT_DIM_CAP``.
     """
     da, db = rho.require_split()
     if da != db:
@@ -204,7 +202,7 @@ def embezzle_protocol(
 
     joint = None
     total = d * d * m * m
-    if total <= dim_cap:
+    if total <= DEFAULT_DIM_CAP:
         amps = np.zeros(total, dtype=complex)
         cat = embezzling_state(m)
         j = np.arange(1, m + 1)
@@ -276,10 +274,10 @@ class CatalystResidual:
         """(M, M) real residual on the |ll> kets."""
         return _frozen(_residual_block(self.d, self.rank))
 
-    def xi_dense(self, *, dim_cap: int = DEFAULT_DIM_CAP) -> DensityMatrix:
+    def xi_dense(self) -> DensityMatrix:
         m = self.rank
-        if m * m > dim_cap:
-            raise CapacityExceeded(f"dense dimension {m * m} exceeds cap {dim_cap}")
+        if m * m > DEFAULT_DIM_CAP:
+            raise CapacityExceeded(f"dense dimension {m * m} exceeds cap {DEFAULT_DIM_CAP}")
         full = np.zeros((m * m, m * m), dtype=complex)
         diag = np.arange(m) * (m + 1)
         full[np.ix_(diag, diag)] = self.block
@@ -302,7 +300,8 @@ def residual_fidelity_exact(d: int, m: int) -> float:
     """Overlap of the post-protocol catalyst with the original, exactly.
 
     Grouped O(M) form of <tau|xi|tau>: residues of j mod d label the
-    surviving coherent sectors.
+    surviving coherent sectors. Groups are summed in blocks of about
+    _SUM_CHUNK indices, combined per residue with fsum, so memory stays flat.
     """
     if d < 1 or m < d:
         raise DomainError(f"need M >= d >= 1, got d={d}, M={m}")
@@ -310,11 +309,16 @@ def residual_fidelity_exact(d: int, m: int) -> float:
         raise CapacityExceeded(f"rank {m} beyond exact-evaluation cap")
     c = harmonic_number(m)
     groups = -(-m // d)
-    padded = np.zeros(groups * d)
-    padded[:m] = 1.0 / np.sqrt(np.arange(1, m + 1) * c)
-    rows = padded.reshape(groups, d)
-    weights = 1.0 / np.sqrt(np.arange(1, groups + 1) * c)
-    sector = weights @ rows  # (d,)
+    step = max(1, _SUM_CHUNK // d)
+    parts = []
+    for g0 in range(0, groups, step):
+        g1 = min(g0 + step, groups)
+        j = np.arange(g0 * d + 1, min(g1 * d, m) + 1)
+        padded = np.zeros((g1 - g0) * d)
+        padded[: j.size] = 1.0 / np.sqrt(j * c)
+        weights = 1.0 / np.sqrt(np.arange(g0 + 1, g1 + 1) * c)
+        parts.append(weights @ padded.reshape(g1 - g0, d))  # (d,) per block
+    sector = np.array([math.fsum(col) for col in zip(*parts)])
     return float(np.sum(sector**2))
 
 

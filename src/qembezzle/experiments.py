@@ -96,8 +96,19 @@ class ExperimentConfig:
         for i, m in enumerate(self.m_values):
             if m < 1:
                 raise ConfigError(f"m_values[{i}]", f"must be >= 1, got {m}")
-        if self.experiment == "qutrit-map" and self.resolution < 50:
-            raise ConfigError("resolution", f"must be >= 50, got {self.resolution}")
+        if self.experiment == "qutrit-map":
+            if self.resolution < 50:
+                raise ConfigError("resolution", f"must be >= 50, got {self.resolution}")
+            if not 0.0 < self.threshold < 1.0:
+                raise ConfigError("threshold", f"must lie in (0, 1), got {self.threshold}")
+            eps = 1.0 - self.threshold - self.margin
+            if not eps > 0:
+                raise ConfigError("margin", f"1 - threshold - margin must be > 0, got {eps}")
+            _check_rank_budget("threshold", eps, 3)
+        if self.experiment == "embezzle":
+            name = "epsilon_grid" if self.epsilon_grid else "epsilon"
+            for eps in self.eps_values():
+                _check_rank_budget(name, eps, self.d)
 
     def eps_values(self) -> list[float]:
         if self.epsilon_grid:
@@ -108,6 +119,12 @@ class ExperimentConfig:
         if default is None:
             raise ConfigError("epsilon", "this experiment needs epsilon or epsilon_grid")
         return list(default)
+
+
+def _check_rank_budget(name: str, eps: float, d: int) -> None:
+    """An embezzling catalyst rank exists for budget eps only while eps (d+1)/d < 1."""
+    if not eps * (d + 1) / d < 1.0:
+        raise ConfigError(name, f"epsilon {eps} needs eps (d+1)/d < 1 at d={d}")
 
 
 def _conforms(value, hint) -> bool:
@@ -342,8 +359,11 @@ def _run_qutrit_map(cfg: ExperimentConfig) -> ResultTable:
 def _run_distill(cfg: ExperimentConfig) -> ResultTable:
     rows = []
     zeta = maximally_mixed(cfg.d * cfg.d, split=(cfg.d, cfg.d))
-    for table, row, state in _resolve_states_at_d(cfg, "fixture:III"):
-        for eps in cfg.eps_values():
+    states = _resolve_states_at_d(cfg, "fixture:III")
+    eps_values = cfg.eps_values()
+    plans_e = [embezzle_plan(cfg.d, eps) for eps in eps_values]  # independent of the state
+    for table, row, state in states:
+        for eps, plan_e in zip(eps_values, plans_e):
             plan_cs = convex_split_plan(state, zeta, eps)
             rows.append(
                 (
@@ -359,7 +379,6 @@ def _run_distill(cfg: ExperimentConfig) -> ResultTable:
                     plan_cs.predicted_consumption,
                 )
             )
-            plan_e = embezzle_plan(cfg.d, eps)
             rows.append(
                 (
                     table,

@@ -67,13 +67,7 @@ class DensityMatrix:
         object.__setattr__(self, "mat", _frozen(mat))
 
     @classmethod
-    def from_matrix(
-        cls,
-        mat: np.ndarray,
-        split: tuple[int, int] | None = None,
-        *,
-        check_psd: bool = True,
-    ) -> "DensityMatrix":
+    def from_matrix(cls, mat: np.ndarray, split: tuple[int, int] | None = None) -> "DensityMatrix":
         """Ingest a matrix as a quantum state: symmetrise, then validate."""
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -85,10 +79,9 @@ class DensityMatrix:
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise DomainError(f"trace must be 1 within {TRACE_TOL}, got {tr!r}")
-        if check_psd:
-            min_eig = float(np.linalg.eigvalsh(mat)[0])
-            if min_eig < -EIGENVALUE_TOL:
-                raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{EIGENVALUE_TOL}")
+        min_eig = float(np.linalg.eigvalsh(mat)[0])
+        if min_eig < -EIGENVALUE_TOL:
+            raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{EIGENVALUE_TOL}")
         a, b = split if split is not None else (None, None)
         return cls(mat, a, b)
 
@@ -121,33 +114,21 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(self.mat)[0])
 
 
-def tensor_product(
-    a: DensityMatrix, b: DensityMatrix, *, dim_cap: int = DEFAULT_DIM_CAP
-) -> DensityMatrix:
+def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product of two states, split as (dim a, dim b)."""
     total = a.dim * b.dim
-    if total > dim_cap:
-        raise CapacityExceeded(f"tensor product dimension {total} exceeds cap {dim_cap}")
+    if total > DEFAULT_DIM_CAP:
+        raise CapacityExceeded(f"tensor product dimension {total} exceeds cap {DEFAULT_DIM_CAP}")
     return DensityMatrix._trusted(np.kron(a.mat, b.mat), split=(a.dim, b.dim))
 
 
-def partial_trace(rho: DensityMatrix, keep: str | int) -> DensityMatrix:
-    """Trace out one factor of a bipartite state.
-
-    ``keep`` selects the surviving factor: ``"A"``/``0`` or ``"B"``/``1``.
-    """
+def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
+    """Trace out one factor of a bipartite state; ``keep`` is ``"A"`` or ``"B"``."""
     da, db = rho.require_split()
-    if keep in ("A", "a", 0):
-        keep_first = True
-    elif keep in ("B", "b", 1):
-        keep_first = False
-    else:
-        raise ShapeError(f"keep selector must be one of A/B/0/1, got {keep!r}")
+    if keep not in ("A", "B"):
+        raise ShapeError(f"keep selector must be 'A' or 'B', got {keep!r}")
     t = rho.mat.reshape(da, db, da, db)
-    if keep_first:
-        out = np.einsum("ajbj->ab", t)
-    else:
-        out = np.einsum("jajb->ab", t)
+    out = np.einsum("ajbj->ab" if keep == "A" else "jajb->ab", t)
     return DensityMatrix._trusted(out)
 
 

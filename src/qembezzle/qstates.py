@@ -25,19 +25,16 @@ class SeededRng:
     """
 
     seed: int
-    algorithm: str = "pcg64"
 
     def __post_init__(self):
         if not 0 <= int(self.seed) < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.algorithm != "pcg64":
-            raise DomainError(f"unknown rng algorithm {self.algorithm!r}")
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.seed))
 
     def derive(self, stream_index: int) -> "SeededRng":
-        return SeededRng(self.seed ^ int(stream_index), self.algorithm)
+        return SeededRng(self.seed ^ int(stream_index))
 
 
 @dataclass(frozen=True)
@@ -232,7 +229,7 @@ def density_to_document(rho: DensityMatrix) -> dict:
     }
 
 
-def density_from_document(doc: dict, *, check_psd: bool = True) -> DensityMatrix:
+def density_from_document(doc: dict) -> DensityMatrix:
     dim = int(doc["dim"])
     entries = doc["entries"]
     if len(entries) != dim or any(len(row) != dim for row in entries):
@@ -241,7 +238,7 @@ def density_from_document(doc: dict, *, check_psd: bool = True) -> DensityMatrix
     split = None
     if doc.get("splitA") is not None:
         split = (int(doc["splitA"]), int(doc["splitB"]))
-    return DensityMatrix.from_matrix(mat, split=split, check_psd=check_psd)
+    return DensityMatrix.from_matrix(mat, split=split)
 
 
 def write_density(path: str | Path, rho: DensityMatrix) -> None:

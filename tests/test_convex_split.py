@@ -31,6 +31,7 @@ from qembezzle import (
     teleport_catalyst_plan,
     average_fidelity_from_fraction,
 )
+from qembezzle import convex_split
 from qembezzle.convex_split import (
     COPIES_CAP,
     _copies_budgets,
@@ -301,13 +302,16 @@ class TestSecularEvaluator:
             assert abs(value - want) <= 1e-12 * want, (p, value, want)
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_block_size_does_not_change_budgets(self, d):
+    def test_block_size_does_not_change_budgets(self, d, monkeypatch):
         rho = random_density(d * d, SeededRng(41), split=(d, d))
         zetas = [maximally_mixed(d * d, split=(d, d))] + [
             random_flat_spectrum(d * d, SeededRng(300 + i), split=(d, d)) for i in range(20)
         ]
         eps_slack = math.sqrt(0.3 * (d + 1) / d)
-        runs = [_copies_budgets(rho, zetas, eps_slack, block=b) for b in (1, 7, len(zetas))]
+        runs = []
+        for block in (1, 7, len(zetas)):
+            monkeypatch.setattr(convex_split, "_CANDIDATE_BLOCK", block)
+            runs.append(_copies_budgets(rho, zetas, eps_slack))
         assert runs[0] == runs[1] == runs[2]
 
     def test_rank_deficient_zeta_rejected(self):

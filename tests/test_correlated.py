@@ -128,14 +128,6 @@ class TestCorrelatedBound:
                 correlated_fidelity_bound(lam, 2) - pure_average_fidelity(lam, 2)
             ) < 1e-9
 
-    def test_matches_finer_grid_oracle(self):
-        gen = np.random.default_rng(4)
-        for _ in range(8):
-            p = gen.dirichlet([1, 1, 1])
-            coarse = correlated_fidelity_bound(p, 3, grid=150)
-            fine = correlated_fidelity_bound(p, 3, grid=1500)
-            assert abs(coarse - fine) < 1e-3
-
     def test_exact_bound_dominates_fine_grid(self):
         pts = _qutrit_grid(1500)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -157,10 +149,6 @@ class TestCorrelatedBound:
         budgets = np.linspace(0.0, np.log2(3), 40)
         values = [_entropy_capped_max(3, b) for b in budgets]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_grid_minimum(self):
-        with pytest.raises(DomainError):
-            correlated_fidelity_bound([0.5, 0.5, 0.0], 3, grid=10)
 
 
 class TestLockstepSolver:
@@ -231,7 +219,7 @@ class TestRegionMap:
 
     def test_bound_matches_standalone_op(self, region):
         for pt in list(region.points)[::431]:
-            full = correlated_fidelity_bound(np.array(pt.weights), 3, grid=150)
+            full = correlated_fidelity_bound(np.array(pt.weights), 3)
             assert abs(full - pt.correlated_bound) < 1e-9
 
     def test_resolution_floor(self):

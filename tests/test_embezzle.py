@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -239,6 +240,15 @@ class TestResidual:
         assert res.block.shape == (12, 12)
         assert not res.block.flags.writeable
 
+    def test_exact_form_memory_is_flat(self):
+        tracemalloc.start()
+        try:
+            residual_fidelity_exact(2, 4_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, peak
+
     def test_trivial_dimension_no_disturbance(self):
         assert residual_fidelity_exact(1, 5) == pytest.approx(1.0, abs=1e-12)
         assert residual_distance_bound(1, 5) == 0.0
@@ -266,7 +276,8 @@ class TestClosedFormPrefixSums:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_grouped_exact_form_to_large_rank(self, d):
-        for m in (*range(max(d, 4), 2045, 8), 2044):
+        # The last two ranks span several blocks of the exact form's chunked sum.
+        for m in (*range(max(d, 4), 2045, 8), 2044, 65_537, 200_003):
             diff = residual_fidelity_closed_form(d, m) - residual_fidelity_exact(d, m)
             assert abs(diff) < 1e-12, m
 

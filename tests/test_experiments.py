@@ -46,7 +46,8 @@ class TestConfig:
         assert err.value.field == field
 
     def test_int_accepted_for_float_field(self):
-        assert config_from_dict({"experiment": "qutrit-map", "threshold": 1}).threshold == 1
+        # No integer threshold lies in (0, 1), so the int goes to another float field.
+        assert config_from_dict({"experiment": "qutrit-map", "margin": 0}).margin == 0
 
     def test_defaults_valid(self):
         cfg = config_from_dict({"experiment": "fidelity"})
@@ -152,6 +153,10 @@ class TestPinnedTables:
                 {"experiment": "consumption"},
                 "fcaa7ef3568234cc9b6c4d59cee9ad4e078cd30067cd4e4335c6dea772a01dd7",
             ),
+            (
+                {"experiment": "distill"},
+                "6b1613485b065894f6465cc517c69097070d03e782c2c0a28718078c8a0262a5",
+            ),
         ],
     )
     def test_csv_digest(self, tmp_path, config, digest):
@@ -254,6 +259,25 @@ class TestCli:
         assert out.returncode == 2, out.stderr
         assert "config error: state_source" in out.stderr
         assert "d=3" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args, config, field",
+        [
+            (["qutrit-map", "--threshold", "2.0"], None, "threshold"),
+            (["qutrit-map"], {"margin": 0.5}, "margin"),
+            (["qutrit-map", "--threshold", "0.1"], None, "threshold"),  # eps (d+1)/d >= 1
+            (["embezzle", "--epsilon", "0.7"], None, "epsilon"),
+        ],
+    )
+    def test_out_of_range_budget_exit_code(self, tmp_path, args, config, field):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args = [*args, "--config", "cfg.json"]
+        out = self._run(*args, "--out", "x.csv", cwd=tmp_path)
+        assert out.returncode == 2, out.stderr
+        assert f"config error: {field}" in out.stderr
         assert "Traceback" not in out.stderr
         assert not (tmp_path / "x.csv").exists()
 
