@@ -105,3 +105,17 @@ class TestDistillSearch:
         a = distill_copies_search(rho, 0.2, 10, SeededRng(7))
         b = distill_copies_search(rho, 0.2, 10, SeededRng(7))
         assert a.n_best == b.n_best and a.n_mixed == b.n_mixed
+
+    @pytest.mark.parametrize(
+        "table, counts",
+        [
+            ("III", {0.1: (1002, 1197), 0.2: (253, 300), 0.3: (113, 134)}),
+            ("reference", {0.1: (1031, 1217), 0.2: (258, 306), 0.3: (115, 137)}),
+        ],
+    )
+    def test_pinned_counts(self, table, counts):
+        # (n_best, n_mixed) with the sqrt(eps) slack, 30 candidates, seed 7.
+        rho = load_fixture(table, 0)
+        for eps, want in counts.items():
+            res = distill_copies_search(rho, eps, 30, SeededRng(7))
+            assert (res.n_best, res.n_mixed) == want, eps

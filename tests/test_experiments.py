@@ -157,12 +157,29 @@ class TestPinnedTables:
                 {"experiment": "distill"},
                 "6b1613485b065894f6465cc517c69097070d03e782c2c0a28718078c8a0262a5",
             ),
+            (
+                {"experiment": "montecarlo", "samples": 8, "candidates": 30, "seed": 20260811},
+                "606583e534bf2561563f7ccd2d90481f5fb7c44b5e2e15bd4139a4f555604708",
+            ),
         ],
     )
     def test_csv_digest(self, tmp_path, config, digest):
         cfg = ExperimentConfig(**config, output_path=str(tmp_path / "t.csv"))
         result = run_experiment(cfg)
         assert hashlib.sha256(result.csv_path.read_bytes()).hexdigest() == digest
+
+    def test_default_nmin_counts(self, tmp_path):
+        # The copy counts of the default nmin table; its p columns are where the
+        # search first reached each count, so they are not pinned.
+        cfg = ExperimentConfig(experiment="nmin", output_path=str(tmp_path / "n.csv"))
+        rows = run_experiment(cfg).table.rows
+        assert [(r[0], r[1], r[2]) for r in rows] == [
+            (0.02, 13497, 10885),
+            (0.05, 2162, 1600),
+            (0.1, 542, 449),
+            (0.15, 242, 185),
+            (0.2, 137, 112),
+        ]
 
 
 class TestAtomicWrites:
