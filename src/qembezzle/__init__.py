@@ -16,7 +16,6 @@ from .errors import (
 from .qmat import (
     DensityMatrix,
     SupportTolerance,
-    fidelity_with_pure,
     max_relative_entropy,
     partial_trace,
     psd_sqrt,
@@ -54,6 +53,7 @@ from .convex_split import (
     CatalystSearchResult,
     ConvexSplitCatalyst,
     CopiesBudget,
+    SearchCounters,
     catalyst_mixture,
     consumption_bound,
     convex_split_joint,
@@ -63,6 +63,7 @@ from .convex_split import (
     min_copies,
     min_copies_for_consumption,
     min_copies_search,
+    optimal_copies,
     teleport_catalyst_plan,
 )
 from .embezzle import (
@@ -85,7 +86,6 @@ from .correlated import (
     RegionMap,
     correlated_fidelity_bound,
     pure_average_fidelity,
-    pure_state_fraction,
     qutrit_region_map,
     shannon_entropy,
 )

@@ -9,7 +9,7 @@ rho/n + (n-1) tau/n and the divergence-controlled error sqrt(2^k / n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -32,12 +32,14 @@ COPIES_CAP = 2**40
 _P_CEILING = 1.0 - 1e-6
 _SWEEP_TOL = SupportTolerance(1e-13)
 
-# The p search: a 1e-3 grid plus log-spaced points in 1 - p, then golden
-# refinement; candidate blocks keep the grid's temporaries near 1 MB at d = 2.
-_GRID_STEP, _LOG_POINTS, _REFINE_TOL = 1e-3, 160, 1e-6
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_CANDIDATE_BLOCK = 8
 _SECULAR_STEPS, _SECULAR_RTOL = 64, 4e-16
+
+# Branch-and-bound over p: a bound is lowered by the relative _BOUND_RTOL before
+# it may prune, so rounding in lambda_max, its slope and the slack (below 1e-14
+# relative against 30-digit evaluations) never cuts off the true minimum. An
+# interval narrower than _WIDTH_FLOOR ends without that proof, which can happen
+# once a count nears 1/_BOUND_RTOL copies.
+_BOUND_RTOL, _WIDTH_FLOOR = 1e-12, 1e-12
 
 
 def _local_dim(rho: DensityMatrix, epsilon: float | None) -> int:
@@ -168,11 +170,28 @@ def teleport_catalyst_plan(
 
 @dataclass(frozen=True)
 class CopiesBudget:
-    """Result of the copy-count minimisation for one candidate zeta."""
+    """Result of the copy-count minimisation for one candidate zeta.
+
+    certified is False when an interval of the search reached the width floor
+    before its bound could rule it out.
+    """
 
     n_min: int
     p_star: float
     impractical: bool = False
+    certified: bool = True
+
+
+@dataclass(frozen=True)
+class SearchCounters:
+    """Work of copy-count searches: lambda_max points, array rounds, uncertified candidates."""
+
+    lambda_max_points: int = 0
+    rounds: int = 0
+    uncertified_candidates: int = 0
+
+    def __add__(self, other: SearchCounters) -> SearchCounters:
+        return SearchCounters(*(x + y for x, y in zip(astuple(self), astuple(other))))
 
 
 def _whitened_spectra(rho: DensityMatrix, zetas: list[DensityMatrix]):
@@ -234,77 +253,162 @@ def _lambda_max(a: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
     return 1.0 / (y * (1.0 - p))
 
 
-def _p_grid(p_lo: float) -> np.ndarray:
-    """Linear grid over [p_lo, _P_CEILING] plus log-spaced points in 1 - p near p = 1."""
-    grid = np.arange(p_lo, _P_CEILING, _GRID_STEP)
-    log_hi = math.log10(max(1.0 - p_lo, 1e-6))
-    log_grid = 1.0 - np.logspace(log_hi, math.log10(1.0 - _P_CEILING), _LOG_POINTS)
-    grid = np.concatenate([grid, log_grid, [p_lo, _P_CEILING]])
-    return np.unique(np.clip(grid, p_lo, _P_CEILING))
+def _log_lambda_slope(a: np.ndarray, w: np.ndarray, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """d log lambda_max / dp at points p (K,), one per row of a, w, from lambda = lam.
+
+    The root mu = (1-p) lambda solves (1-p)/p = h(mu) - sum_i w_i with
+    h(mu) = sum_i w_i a_i / (a_i - mu), so mu' = -1 / (p^2 h'(mu)) and
+    d log lambda/dp = 1/(1-p) - 1/(p^2 mu h'(mu)); no eigenvector is needed.
+    Terms with w_i a_i = 0 drop out of h', and if none is left mu = a_n for
+    every p. A root on a pole (a degenerate top eigenvalue) makes h' infinite
+    and mu' zero. At p = 0 the formula reads 0 * inf; its limit 1 - w_n for a
+    simple top eigenvalue never exceeds the right derivative, which is all a
+    tangent at the left end of the sweep needs.
+    """
+    mu = lam * (1.0 - p)
+    wa = w * a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hp = np.where(wa > 0.0, wa / (a - mu[:, None]) ** 2, 0.0).sum(axis=1)
+        drift = np.where(hp > 0.0, 1.0 / (p * p * mu * hp), 0.0)
+    return np.where(p > 0.0, 1.0 / (1.0 - p) - drift, 1.0 - w[:, -1])
+
+
+def _log_slack_penalty(c: np.ndarray, e: float, p: np.ndarray) -> np.ndarray:
+    """-2 log(e - sqrt((1-p) c)), infinite where the slack is not positive."""
+    slack = e - np.sqrt((1.0 - p) * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(slack > 0.0, -2.0 * np.log(slack), np.inf)
+
+
+def _interval_bound(c, e, p1, p2, l1, l2, g1, g2) -> np.ndarray:
+    """Lower bound on log(lambda_max / slack^2) over each interval [p1, p2].
+
+    l, g are log lambda_max and its slope at the ends. log lambda_max is
+    convex in p (1/lambda_max is a minimum of functions affine in p), so it
+    lies above both end tangents: the one at p1 left of a split point x and
+    the one at p2 right of it. Any x is valid; the tangents' crossing is the
+    tightest. Each tangent plus -2 log slack is then minimised exactly on its
+    piece: with r = sqrt(1-p), its p-derivative g - sqrt(c) / (r (e - sqrt(c) r))
+    turns from negative to positive only at the larger root r of
+    sqrt(c) g r^2 - g e r + sqrt(c) = 0, so the minimum is at an end of the piece or there.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.clip(p1 + (l1 - l2 + g2 * (p2 - p1)) / (g2 - g1), p1, p2)
+    x = np.where(np.isnan(x), p1, x)
+
+    def piece(lo, hi, p0, l0, g):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (e + np.sqrt(e * e - 4.0 * c / g)) / (2.0 * np.sqrt(c))
+        q = np.clip(np.where((g > 0.0) & np.isfinite(r), 1.0 - r * r, hi), lo, hi)
+        values = [l0 + g * (t - p0) + _log_slack_penalty(c, e, t) for t in (lo, hi, q)]
+        return np.min(values, axis=0)
+
+    return np.minimum(piece(p1, x, p1, l1, g1), piece(x, p2, p2, l2, g2))
 
 
 def _copies_budgets(
     rho: DensityMatrix, zetas: list[DensityMatrix], eps_slack: float
-) -> list[CopiesBudget]:
-    """Minimise ceil(2^k(p) / (eps_slack - sqrt((1-p)(1-F(zeta))))^2) over p, per candidate.
+) -> tuple[int, CopiesBudget, CopiesBudget, SearchCounters]:
+    """Certified minimum of n(p) = ceil(lambda_max(p) / (eps_slack - sqrt((1-p)(1-F(zeta))))^2).
 
-    The p-grid is scored in blocks of _CANDIDATE_BLOCK candidates; then every live
-    candidate takes one golden-section step around its best grid point per
-    array call. p_star is the smallest visited p reaching the fewest copies.
+    Returns the index of the winning candidate (fewest copies, lowest index on
+    ties), the budgets of zetas[0] and of the winner, and the work counters.
+
+    One branch-and-bound runs over (candidate, p-interval) pairs in lockstep,
+    starting from [p_lo, _P_CEILING] with its ends evaluated. Each round drops
+    every interval whose bound (see _interval_bound) proves that no p in it
+    gives fewer copies than its candidate's incumbent; for a candidate i >= 1
+    it also drops intervals that can neither beat the best incumbent of the
+    candidates before i nor tie the best of those after it, since such an
+    interval cannot change the reported winner. zetas[0] is minimised in full.
+    The rest are bisected, with every new point evaluated in one array call.
+    p_star is the smallest evaluated p reaching the candidate's count.
     """
     a, w = _whitened_spectra(rho, zetas)
-    omf = np.array([max(0.0, 1.0 - entanglement_fraction(z)) for z in zetas])
-    p_lo = np.where(omf <= eps_slack**2, 0.0, 1.0 - eps_slack**2 / np.maximum(omf, eps_slack**2))
+    c = np.array([max(0.0, 1.0 - entanglement_fraction(z)) for z in zetas])
+    e = eps_slack
+    p_lo = np.where(c <= e * e, 0.0, 1.0 - e * e / np.maximum(c, e * e))
     best_n = np.full(len(zetas), float(COPIES_CAP))  # integral counts, exact in float64
     best_p = np.full(len(zetas), _P_CEILING)
-    centre = np.full(len(zetas), _P_CEILING)
+    uncertified = np.zeros(len(zetas), dtype=bool)
+    counters = SearchCounters()
 
-    def score(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
-        slack = eps_slack - np.sqrt((1.0 - p) * omf[rows, None])
+    def evaluate(rows, p):
+        nonlocal counters
+        counters += SearchCounters(p.size, 1)
+        lam = _lambda_max(a[rows], w[rows], p[:, None])[:, 0]
+        slack = e - np.sqrt((1.0 - p) * c[rows])
         with np.errstate(divide="ignore"):
-            values = np.where(slack > 0, _lambda_max(a[rows], w[rows], p) / slack**2, np.inf)
-        n = np.where(values < COPIES_CAP, np.maximum(1.0, np.ceil(values)), COPIES_CAP)
-        n, p = np.hstack([best_n[rows, None], n]), np.hstack([best_p[rows, None], p])
-        best_n[rows] = n.min(axis=1)
-        best_p[rows] = np.where(n == best_n[rows, None], p, np.inf).min(axis=1)
-        return values
+            value = np.where(slack > 0, lam / slack**2, np.inf)
+        n = np.where(value < COPIES_CAP, np.maximum(1.0, np.ceil(value)), COPIES_CAP)
+        before = best_n.copy()
+        np.minimum.at(best_n, rows, n)
+        best_p[best_n < before] = np.inf
+        hit = n == best_n[rows]
+        np.minimum.at(best_p, rows[hit], p[hit])
+        return np.log(lam), _log_lambda_slope(a[rows], w[rows], p, lam)
 
-    live = np.flatnonzero(p_lo < _P_CEILING)
-    for first in range(0, live.size, _CANDIDATE_BLOCK):
-        rows = live[first : first + _CANDIDATE_BLOCK]
-        grids = [_p_grid(float(p_lo[r])) for r in rows]
-        # Each grid ends at _P_CEILING, so padding with it repeats a visited point.
-        pts = np.full((rows.size, max(g.size for g in grids)), _P_CEILING)
-        for i, g in enumerate(grids):
-            pts[i, : g.size] = g
-        centre[rows] = pts[np.arange(rows.size), np.argmin(score(rows, pts), axis=1)]
+    rows = np.flatnonzero(p_lo < _P_CEILING)
+    p1, p2 = p_lo[rows], np.full(rows.size, _P_CEILING)
+    ends = evaluate(np.tile(rows, 2), np.concatenate([p1, p2]))
+    (l1, l2), (g1, g2) = (np.split(x, 2) for x in ends)
+    while rows.size:
+        prior = np.minimum.accumulate(np.concatenate([[np.inf], best_n[:-1]]))
+        later = np.minimum.accumulate(np.concatenate([best_n[:0:-1], [np.inf]]))[::-1]
+        threshold = np.minimum(best_n, np.minimum(prior, later + 1.0))
+        threshold[0] = best_n[0]
+        bound = _interval_bound(c[rows], e, p1, p2, l1, l2, g1, g2)
+        with np.errstate(over="ignore"):
+            live = np.ceil(np.exp(bound - _BOUND_RTOL)) < threshold[rows]
+        floor = live & (p2 - p1 < _WIDTH_FLOOR)
+        uncertified[rows[floor]] = True
+        live &= ~floor
+        rows, p1, p2, l1, l2, g1, g2 = (x[live] for x in (rows, p1, p2, l1, l2, g1, g2))
+        if not rows.size:
+            break
+        mid = 0.5 * (p1 + p2)
+        lm, gm = evaluate(rows, mid)
+        rows, p1, p2 = np.tile(rows, 2), np.concatenate([p1, mid]), np.concatenate([mid, p2])
+        l1, l2 = np.concatenate([l1, lm]), np.concatenate([lm, l2])
+        g1, g2 = np.concatenate([g1, gm]), np.concatenate([gm, g2])
 
-    lo, hi = np.maximum(p_lo, centre - _GRID_STEP), np.minimum(_P_CEILING, centre + _GRID_STEP)
-    rows = live[hi[live] > lo[live]]
-    lo, hi = lo[rows], hi[rows]
-    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    fc, fd = score(rows, c[:, None])[:, 0], score(rows, d[:, None])[:, 0]
-    while (on := hi - lo > _REFINE_TOL).any():
-        rows, lo, hi, c, d, fc, fd = (x[on] for x in (rows, lo, hi, c, d, fc, fd))
-        left = fc <= fd
-        hi, lo = np.where(left, d, hi), np.where(left, lo, c)
-        x = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
-        fx = score(rows, x[:, None])[:, 0]
-        c, fc, d, fd = (np.where(left, x, d), np.where(left, fx, fd),
-                        np.where(left, c, x), np.where(left, fc, fx))
     best_p[best_n >= COPIES_CAP] = _P_CEILING
-    return [CopiesBudget(int(n), float(p), bool(n >= COPIES_CAP)) for n, p in zip(best_n, best_p)]
+    best = int(np.argmin(best_n))
+    counters += SearchCounters(uncertified_candidates=int(uncertified.sum()))
+
+    def budget(i):
+        return CopiesBudget(int(best_n[i]), float(best_p[i]), bool(best_n[i] >= COPIES_CAP),
+                            not uncertified[i])
+
+    return best, budget(0), budget(best), counters
 
 
 def min_copies(rho: DensityMatrix, zeta: DensityMatrix, epsilon: float) -> CopiesBudget:
     """Fewest catalyst copies meeting the average-fidelity error epsilon.
 
-    Searches the mixing weight p of tau = p phi+ + (1-p) zeta under the
-    constraint sqrt(2^k / n) + sqrt(1 - F(tau)) <= sqrt(eps (d+1) / d);
-    ties between equally good p values resolve toward the smaller p.
+    Minimises over the mixing weight p of tau = p phi+ + (1-p) zeta under the
+    constraint sqrt(2^k / n) + sqrt(1 - F(tau)) <= sqrt(eps (d+1) / d). The
+    count is a certified minimum over p; p_star is the smallest p the search
+    evaluated that reaches it, not necessarily the smallest p that does.
     """
     d = _local_dim(rho, epsilon)
-    return _copies_budgets(rho, [zeta], math.sqrt(epsilon * (d + 1) / d))[0]
+    return _copies_budgets(rho, [zeta], math.sqrt(epsilon * (d + 1) / d))[1]
+
+
+def optimal_copies(rho: DensityMatrix, eps_slack: float) -> tuple[int, float, float]:
+    """Fewest copies over every convex-split catalyst, as (n_opt, t_star, p_star).
+
+    rho <= t tau forces t (1 - F(tau)) >= c = 1 - F(rho), so any tau needs at
+    least t / (eps_slack - sqrt(c/t))^2 copies at t = 2^D_max(rho||tau). That
+    is smallest at t_star = max(1, 4c / eps_slack^2), and tau = p phi+ + (1-p) rho
+    with p_star = 1 - 1/t_star reaches it. n_opt is capped at COPIES_CAP like
+    the search.
+    """
+    _local_dim(rho, None)
+    c = max(0.0, 1.0 - entanglement_fraction(rho))
+    t = max(1.0, 4.0 * c / eps_slack**2)
+    value = t / (eps_slack - math.sqrt(c / t)) ** 2
+    return min(COPIES_CAP, max(1, math.ceil(value))), t, 1.0 - 1.0 / t
 
 
 @dataclass(frozen=True)
@@ -329,6 +433,7 @@ class CatalystSearchResult:
     p_best: float
     n_mixed: int
     p_mixed: float
+    counters: SearchCounters
 
     @property
     def ratio(self) -> float:
@@ -338,12 +443,13 @@ class CatalystSearchResult:
 def min_copies_search(query: CatalystSearchQuery) -> CatalystSearchResult:
     """Best copy count over random full-rank candidates plus the mixed benchmark.
 
-    Candidates are drawn from the flat-spectrum ensemble: heavy eigenvalue
-    repulsion (Hilbert-Schmidt sampling) yields near-singular candidates
-    that almost never beat the maximally mixed benchmark, while the flat
-    ensemble reproduces the expected high improvement rate. The benchmark
-    is always force-included, so the winner never exceeds it; ties resolve
-    by (copy count, candidate index) with the benchmark ordered first.
+    Candidates are drawn from the flat-spectrum ensemble: Hilbert-Schmidt
+    sampling repels eigenvalues and yields near-singular candidates that
+    almost never beat the maximally mixed benchmark. Flat-spectrum candidates
+    beat it often, but still need well above optimal_copies' floor. The
+    benchmark is always force-included, so the winner never exceeds it; ties
+    resolve by (copy count, candidate index) with the benchmark ordered first.
+    Only the benchmark and the winner are minimised in full.
     """
     d = _local_dim(query.rho, None if query.eps_slack is not None else query.epsilon)
     eps_slack = query.eps_slack
@@ -353,10 +459,9 @@ def min_copies_search(query: CatalystSearchQuery) -> CatalystSearchResult:
         random_flat_spectrum(d * d, query.rng.derive(idx + 1), split=(d, d))
         for idx in range(query.candidate_count)
     ]
-    budgets = _copies_budgets(query.rho, zetas, eps_slack)
-    best = min(range(len(zetas)), key=lambda i: budgets[i].n_min)
+    best, mixed, winner, counters = _copies_budgets(query.rho, zetas, eps_slack)
     return CatalystSearchResult(
-        budgets[best].n_min, zetas[best], budgets[best].p_star, budgets[0].n_min, budgets[0].p_star
+        winner.n_min, zetas[best], winner.p_star, mixed.n_min, mixed.p_star, counters
     )
 
 

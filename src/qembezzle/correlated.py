@@ -45,13 +45,6 @@ def shannon_entropy(probs) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def pure_state_fraction(probs) -> float:
-    """Entanglement fraction of a pure state after optimal local alignment."""
-    p = _as_probs(probs)
-    s = float(np.sum(np.sqrt(p)))
-    return s * s / p.size
-
-
 def pure_average_fidelity(probs, d: int) -> float:
     """Average teleportation fidelity of a Schmidt-diagonal pure resource."""
     p = _as_probs(probs)

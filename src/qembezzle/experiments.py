@@ -24,7 +24,7 @@ import mpmath
 import numpy as np
 
 from . import __version__
-from .convex_split import CatalystSearchQuery, min_copies_search
+from .convex_split import CatalystSearchQuery, SearchCounters, min_copies_search
 from .correlated import qutrit_region_map
 from .distill import convex_split_plan, embezzle_plan
 from .embezzle import (
@@ -206,6 +206,8 @@ def _fmt(value) -> str:
 class ResultTable:
     header: tuple[str, ...]
     rows: tuple[tuple, ...]
+    # Work counters of the run, recorded in the manifest and never in the CSV.
+    counters: dict = field(default_factory=dict, compare=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -260,7 +262,7 @@ def _run_fidelity(cfg: ExperimentConfig) -> ResultTable:
 
 def _run_nmin(cfg: ExperimentConfig) -> ResultTable:
     _, _, rho = _resolve_states_at_d(cfg, "fixture:reference:0")[0]
-    rows = []
+    rows, counters = [], SearchCounters()
     for idx, eps in enumerate(cfg.eps_values()):
         query = CatalystSearchQuery(
             rho=rho,
@@ -270,13 +272,15 @@ def _run_nmin(cfg: ExperimentConfig) -> ResultTable:
         )
         res = min_copies_search(query)
         rows.append((eps, res.n_mixed, res.n_best, res.p_mixed, res.p_best, res.ratio))
+        counters += res.counters
     return ResultTable(
         header=("epsilon", "n_mixed", "n_best", "p_mixed", "p_best", "descent_ratio"),
         rows=tuple(rows),
+        counters=asdict(counters),
     )
 
 
-def _montecarlo_sample(cfg: ExperimentConfig, index: int) -> tuple:
+def _montecarlo_sample(cfg: ExperimentConfig, index: int) -> tuple[tuple, SearchCounters]:
     master = SeededRng(cfg.seed)
     rho = random_density(cfg.d * cfg.d, master.derive(2 * index + 1), split=(cfg.d, cfg.d))
     f0 = average_fidelity_from_fraction(entanglement_fraction(rho), cfg.d)
@@ -287,14 +291,15 @@ def _montecarlo_sample(cfg: ExperimentConfig, index: int) -> tuple:
         rho=rho, epsilon=eps, candidate_count=cfg.candidates, rng=master.derive((index + 1) << 20)
     )
     res = min_copies_search(query)
-    return (index, eps, f0, res.n_mixed, res.n_best, res.ratio)
+    return (index, eps, f0, res.n_mixed, res.n_best, res.ratio), res.counters
 
 
 def _run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
-    rows = [_montecarlo_sample(cfg, i) for i in range(cfg.samples)]
+    rows, counters = zip(*(_montecarlo_sample(cfg, i) for i in range(cfg.samples)))
     return ResultTable(
         header=("sample", "epsilon", "avg_fidelity_unassisted", "n_mixed", "n_best", "descent_ratio"),
-        rows=tuple(rows),
+        rows=rows,
+        counters=asdict(sum(counters, SearchCounters())),
     )
 
 
@@ -469,6 +474,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         },
         "environment": {"platform": platform.platform(), "cpu_count": os.cpu_count()},
         "wall_time_s": wall,
+        **({"counters": table.counters} if table.counters else {}),
         "csv_path": str(csv_path),
         "csv_sha256": hashlib.sha256(csv_text.encode("utf-8")).hexdigest(),
     }

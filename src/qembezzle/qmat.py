@@ -164,15 +164,6 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(min(max(tr_norm * tr_norm, 0.0), 1.0))
 
 
-def fidelity_with_pure(rho: DensityMatrix, psi: np.ndarray) -> float:
-    """Uhlmann fidelity against a rank-one state: ``<psi|rho|psi>``."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (rho.dim,):
-        raise ShapeError(f"pure-state vector of dim {psi.shape} vs matrix dim {rho.dim}")
-    val = float(np.real(psi.conj() @ rho.mat @ psi))
-    return min(max(val, 0.0), 1.0)
-
-
 def purified_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Purified (sine) distance ``sqrt(1 - F_U)``."""
     return float(np.sqrt(max(0.0, 1.0 - uhlmann_fidelity(rho, sigma))))

@@ -36,6 +36,7 @@ from qembezzle.convex_split import (
     COPIES_CAP,
     _copies_budgets,
     _lambda_max,
+    _log_lambda_slope,
     _whitened_spectra,
 )
 
@@ -301,24 +302,174 @@ class TestSecularEvaluator:
             want = _mp_lambda_max(rho, zeta, p)
             assert abs(value - want) <= 1e-12 * want, (p, value, want)
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_block_size_does_not_change_budgets(self, d, monkeypatch):
-        rho = random_density(d * d, SeededRng(41), split=(d, d))
-        zetas = [maximally_mixed(d * d, split=(d, d))] + [
-            random_flat_spectrum(d * d, SeededRng(300 + i), split=(d, d)) for i in range(20)
-        ]
-        eps_slack = math.sqrt(0.3 * (d + 1) / d)
-        runs = []
-        for block in (1, 7, len(zetas)):
-            monkeypatch.setattr(convex_split, "_CANDIDATE_BLOCK", block)
-            runs.append(_copies_budgets(rho, zetas, eps_slack))
-        assert runs[0] == runs[1] == runs[2]
-
     def test_rank_deficient_zeta_rejected(self):
         rho = random_density(4, SeededRng(8), split=(2, 2))
         zeta = random_pure(4, SeededRng(9)).density().with_split(2, 2)
         with pytest.raises(DomainError):
             min_copies(rho, zeta, 0.1)
+
+
+def _dense_log_lambda(rho, zeta, p):
+    """log lambda_max(tau(p)^(-1/2) rho tau(p)^(-1/2)) from dense eigensolves, at points p."""
+    phi = max_entangled_density(zeta.split_a).mat
+    p = np.asarray(p, dtype=float)
+    w, v = np.linalg.eigh(p[:, None, None] * phi + (1.0 - p)[:, None, None] * zeta.mat)
+    inv_sqrt = (v / np.sqrt(w)[:, None, :]) @ np.conj(np.transpose(v, (0, 2, 1)))
+    return np.log(np.linalg.eigvalsh(inv_sqrt @ rho.mat @ inv_sqrt)[:, -1])
+
+
+def _dense_log_objective(rho, zeta, eps_slack, p):
+    """log(lambda_max / slack^2) from dense eigensolves; +inf where the slack is not positive."""
+    slack = eps_slack - np.sqrt((1.0 - p) * max(0.0, 1.0 - entanglement_fraction(zeta)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(slack > 0, _dense_log_lambda(rho, zeta, p) - 2 * np.log(slack), np.inf)
+
+
+def _dense_p(lo, hi, points):
+    """Linear points over [lo, hi] plus log-spaced points in 1 - p near hi."""
+    log = 1.0 - np.logspace(np.log10(1.0 - lo), np.log10(1.0 - hi), points // 2)
+    return np.unique(np.clip(np.concatenate([np.linspace(lo, hi, points - points // 2), log]), lo, hi))
+
+
+def _recorded(monkeypatch, name):
+    """Record (arguments, result) of every call of convex_split.<name> while the test runs."""
+    calls, original = [], getattr(convex_split, name)
+
+    def wrapper(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(convex_split, name, wrapper)
+    return calls
+
+
+CERTIFICATE_CASES = [
+    (d, rho_kind, zeta_kind)
+    for d in (2, 3)
+    for rho_kind in ("mixed", "pure", "phi+")
+    for zeta_kind in ("mixed", "flat")
+]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("d, rho_kind, zeta_kind", CERTIFICATE_CASES)
+    def test_slope_is_a_subgradient(self, d, rho_kind, zeta_kind, monkeypatch):
+        rho = _resource(rho_kind, d, 51 + d)
+        zeta = _catalyst(zeta_kind, d, 93 + d)
+        calls = _recorded(monkeypatch, "_lambda_max")
+        min_copies(rho, zeta, 0.1)
+        a, w = _whitened_spectra(rho, [zeta])
+        evaluated = np.concatenate([np.ravel(args[2]) for args, _ in calls])
+        ps = np.unique(np.concatenate([[0.0, 0.3], evaluated]))
+        lam = _lambda_max(np.repeat(a, ps.size, 0), np.repeat(w, ps.size, 0), ps[:, None])[:, 0]
+        slope = _log_lambda_slope(np.repeat(a, ps.size, 0), np.repeat(w, ps.size, 0), ps, lam)
+        q = _dense_p(0.0, 1 - 1e-6, 2000)
+        dense = _dense_log_lambda(rho, zeta, q)
+        for p, l0, g in zip(ps, np.log(lam), slope):
+            tangent = l0 + g * (q - p)
+            worst = int(np.argmax(tangent - dense))
+            assert tangent[worst] <= dense[worst] + 1e-9, (p, q[worst], tangent[worst], dense[worst])
+
+    @pytest.mark.parametrize("d, rho_kind, zeta_kind", CERTIFICATE_CASES)
+    @pytest.mark.parametrize("eps", [0.02, 0.3])
+    def test_interval_bound_below_dense_objective(self, d, rho_kind, zeta_kind, eps, monkeypatch):
+        rho = _resource(rho_kind, d, 61 + d)
+        zeta = _catalyst(zeta_kind, d, 17 + d)
+        eps_slack = math.sqrt(eps * (d + 1) / d)
+        calls = _recorded(monkeypatch, "_interval_bound")
+        min_copies(rho, zeta, eps)
+        searched = [iv for args, bound in calls for iv in zip(args[2], args[3], bound)]
+        assert searched
+        # Also every interval between two of 12 points spread over the feasible band.
+        c = max(0.0, 1.0 - entanglement_fraction(zeta))
+        p_lo = max(0.0, 1.0 - eps_slack**2 / c)
+        ends = _dense_p(p_lo, 1 - 1e-6, 12)
+        p1, p2 = (x.ravel() for x in np.meshgrid(ends, ends, indexing="ij"))
+        p1, p2 = p1[p1 < p2], p2[p1 < p2]
+        a, w = _whitened_spectra(rho, [zeta])
+        ls, gs = [], []
+        for p in (p1, p2):
+            lam = _lambda_max(np.repeat(a, p.size, 0), np.repeat(w, p.size, 0), p[:, None])[:, 0]
+            ls.append(np.log(lam))
+            gs.append(_log_lambda_slope(np.repeat(a, p.size, 0), np.repeat(w, p.size, 0), p, lam))
+        bound = convex_split._interval_bound(np.full(p1.size, c), eps_slack, p1, p2, *ls, *gs)
+        for lo, hi, b in searched + list(zip(p1, p2, bound)):
+            dense = _dense_log_objective(rho, zeta, eps_slack, _dense_p(lo, hi, 200))
+            assert b <= dense.min() + 1e-9, (lo, hi, b, dense.min())
+
+    @pytest.mark.parametrize("g", [-3.0, 0.0, 10.0, 40.0, 400.0])
+    @pytest.mark.parametrize("c", [0.0, 0.5, 0.9])
+    def test_bound_is_the_minimum_for_a_linear_log_lambda(self, c, g):
+        # With log lambda = 0.7 + g p both tangents are the line itself, so the
+        # bound must be the minimum of line - 2 log slack over the interval.
+        e = 0.3
+        p_lo = max(0.0, 1.0 - e * e / c) if c else 0.0
+        ends = np.unique(np.maximum(p_lo + 1e-3, [0.0, 0.83, 0.875, 0.95, 1 - 1e-6]))
+        p1, p2 = (x.ravel() for x in np.meshgrid(ends, ends, indexing="ij"))
+        p1, p2 = p1[p1 < p2], p2[p1 < p2]
+        line = lambda p: 0.7 + g * p
+        gs = np.full(p1.size, g)
+        bound = convex_split._interval_bound(
+            np.full(p1.size, c), e, p1, p2, line(p1), line(p2), gs, gs
+        )
+        for lo, hi, b in zip(p1, p2, bound):
+            q = np.linspace(lo, hi, 100_001)
+            dense = line(q) - 2 * np.log(e - np.sqrt((1 - q) * c))
+            assert dense.min() - 1e-6 <= b <= dense.min() + 1e-12, (lo, hi, b, dense.min())
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("eps", [0.002, 0.05, 0.2, 0.5])
+    def test_pruned_search_matches_separate_minima(self, d, eps):
+        # Replaces the block-size test: pruning across candidates must not change
+        # what the search reports.
+        rho = random_density(d * d, SeededRng(41 + d), split=(d, d))
+        rng = SeededRng(300 + d)
+        res = min_copies_search(
+            CatalystSearchQuery(rho=rho, epsilon=eps, candidate_count=20, rng=rng)
+        )
+        zetas = [maximally_mixed(d * d, split=(d, d))] + [
+            random_flat_spectrum(d * d, rng.derive(i + 1), split=(d, d)) for i in range(20)
+        ]
+        alone = [min_copies(rho, z, eps) for z in zetas]
+        best = min(range(len(zetas)), key=lambda i: alone[i].n_min)
+        assert (res.n_best, res.n_mixed) == (alone[best].n_min, alone[0].n_min)
+        np.testing.assert_array_equal(res.zeta_best.mat, zetas[best].mat)
+        assert res.counters.uncertified_candidates == 0 and all(b.certified for b in alone)
+
+    def test_ties_go_to_the_lower_index(self):
+        # Candidates 3, 6 and 14 all need 23 copies, and a later one reaches 23 first.
+        rho = random_density(4, SeededRng(10), split=(2, 2))
+        zetas = [I4] + [random_flat_spectrum(4, SeededRng(10_000 + i), split=(2, 2)) for i in range(30)]
+        eps_slack = math.sqrt(0.7 * 3 / 2)
+        alone = [min_copies(rho, z, 0.7).n_min for z in zetas]
+        tied = [i for i, n in enumerate(alone) if n == min(alone)]
+        assert len(tied) > 1 and tied[0] > 0
+        best, mixed, win, counters = _copies_budgets(rho, zetas, eps_slack)
+        assert (best, win.n_min, mixed.n_min) == (tied[0], alone[tied[0]], alone[0])
+        assert counters.uncertified_candidates == 0
+        # Copies of the winner, and of the benchmark, after the original: the first wins.
+        best, _, win, _ = _copies_budgets(rho, zetas[: tied[0] + 1] + [zetas[tied[0]]], eps_slack)
+        assert (best, win.n_min) == (tied[0], alone[tied[0]])
+        best, _, win, _ = _copies_budgets(rho, [I4, I4], eps_slack)
+        assert (best, win.n_min) == (0, alone[0])
+
+    def test_impractical_case_ends(self):
+        rho = random_density(4, SeededRng(5), split=(2, 2))
+        eps_slack = math.sqrt(1e-6 * 3 / 2)
+        zetas = [I4] + [random_flat_spectrum(4, SeededRng(600 + i), split=(2, 2)) for i in range(5)]
+        best, mixed, win, counters = _copies_budgets(rho, zetas, eps_slack)
+        assert mixed.impractical and win.impractical and win.n_min == COPIES_CAP
+        assert mixed.p_star == 1 - 1e-6
+        assert mixed.certified and counters.uncertified_candidates == 0
+        assert counters.rounds <= 50
+
+    def test_width_floor_ends_uncertified(self, monkeypatch):
+        rho = random_density(4, SeededRng(5), split=(2, 2))
+        certified = min_copies(rho, I4, 0.01)
+        monkeypatch.setattr(convex_split, "_WIDTH_FLOOR", 1e-2)
+        coarse = min_copies(rho, I4, 0.01)
+        assert certified.certified and not coarse.certified
+        assert coarse.n_min >= certified.n_min
 
 
 class TestSearch:

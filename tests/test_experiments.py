@@ -13,6 +13,7 @@ import qembezzle
 from qembezzle.errors import ConfigError, QEmbezzleError
 from qembezzle.experiments import (
     ExperimentConfig,
+    ResultTable,
     config_from_dict,
     parse_result_csv,
     replay_manifest,
@@ -180,6 +181,29 @@ class TestPinnedTables:
             (0.15, 242, 185),
             (0.2, 137, 112),
         ]
+
+
+class TestCounters:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"experiment": "nmin"},
+            {"experiment": "montecarlo", "samples": 8, "candidates": 30, "seed": 20260811},
+        ],
+    )
+    def test_search_manifests_count_work(self, tmp_path, config):
+        result = run_experiment(ExperimentConfig(**config, output_path=str(tmp_path / "t.csv")))
+        counters = json.loads(result.manifest_path.read_text())["counters"]
+        assert set(counters) == {"lambda_max_points", "rounds", "uncertified_candidates"}
+        assert counters["lambda_max_points"] > counters["rounds"] > 0
+        assert counters["uncertified_candidates"] == 0
+        # The counters stay out of the CSV.
+        plain = ResultTable(result.table.header, result.table.rows).to_csv()
+        assert result.csv_path.read_bytes() == plain.encode("utf-8")
+
+    def test_other_manifests_have_no_counters(self, tmp_path):
+        result = run_experiment(ExperimentConfig(experiment="fidelity", output_path=str(tmp_path / "f.csv")))
+        assert "counters" not in json.loads(result.manifest_path.read_text())
 
 
 class TestAtomicWrites:
