@@ -170,8 +170,8 @@ class TestPinnedTables:
         assert hashlib.sha256(result.csv_path.read_bytes()).hexdigest() == digest
 
     def test_default_nmin_counts(self, tmp_path):
-        # The copy counts of the default nmin table; its p columns are where the
-        # search first reached each count, so they are not pinned.
+        # The copy counts of the default nmin table. Its p columns are witnesses
+        # that depend on which points the search evaluates, so they are not pinned.
         cfg = ExperimentConfig(experiment="nmin", output_path=str(tmp_path / "n.csv"))
         rows = run_experiment(cfg).table.rows
         assert [(r[0], r[1], r[2]) for r in rows] == [
