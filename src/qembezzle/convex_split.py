@@ -13,7 +13,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import CapacityExceeded, DomainError
+from .errors import CapacityExceeded, DomainError, ShapeError
 from .qmat import (
     DEFAULT_DIM_CAP,
     DensityMatrix,
@@ -21,7 +21,13 @@ from .qmat import (
     max_relative_entropy,
     purified_distance,
 )
-from .qstates import SeededRng, max_entangled_density, maximally_mixed, random_flat_spectrum
+from .qstates import (
+    SeededRng,
+    max_entangled_amplitudes,
+    max_entangled_density,
+    maximally_mixed,
+    random_flat_spectrum,
+)
 from .teleport import entanglement_fraction
 
 # Copy counts above this are reported as impractical rather than exact.
@@ -194,20 +200,22 @@ class SearchCounters:
         return SearchCounters(*(x + y for x, y in zip(astuple(self), astuple(other))))
 
 
-def _whitened_spectra(rho: DensityMatrix, zetas: list[DensityMatrix]):
+def _whitened_spectra(rho: DensityMatrix, zetas: np.ndarray):
     """Eigenvalues a of A = Z rho Z and weights w = |V^dagger Z phi+|^2, Z = zeta^(-1/2).
+
+    zetas is a (K, n, n) stack of candidates on rho's square split.
 
     lambda_min(tau) >= (1-p) lambda_min(zeta) and lambda_max(tau) <= 1 certify
     that tau(p) clears the support cutoff on the whole sweep; a zeta without
     that certificate is rejected.
     """
-    lam, vec = np.linalg.eigh(np.stack([z.mat for z in zetas]))
+    lam, vec = np.linalg.eigh(zetas)
     if not (1.0 - _P_CEILING) * lam[:, 0].min() > _SWEEP_TOL.eigen_cutoff:
         raise DomainError(f"zeta must be full rank, smallest eigenvalue {lam[:, 0].min():.3e}")
     z = (vec / np.sqrt(lam)[:, None, :]) @ np.conj(np.transpose(vec, (0, 2, 1)))
     amat = z @ rho.mat @ z
     a, v = np.linalg.eigh((amat + np.conj(np.transpose(amat, (0, 2, 1)))) / 2.0)
-    u = z[:, :, :: zetas[0].split_a + 1].sum(axis=2) / math.sqrt(zetas[0].split_a)  # Z |phi+>
+    u = z[:, :, :: rho.split_a + 1].sum(axis=2) / math.sqrt(rho.split_a)  # Z |phi+>
     return a, np.abs(np.einsum("kji,kj->ki", np.conj(v), u)) ** 2
 
 
@@ -307,12 +315,13 @@ def _interval_bound(c, e, p1, p2, l1, l2, g1, g2) -> np.ndarray:
 
 
 def _copies_budgets(
-    rho: DensityMatrix, zetas: list[DensityMatrix], eps_slack: float
+    rho: DensityMatrix, zetas: np.ndarray, eps_slack: float
 ) -> tuple[int, CopiesBudget, CopiesBudget, SearchCounters]:
     """Certified minimum of n(p) = ceil(lambda_max(p) / (eps_slack - sqrt((1-p)(1-F(zeta))))^2).
 
-    Returns the index of the winning candidate (fewest copies, lowest index on
-    ties), the budgets of zetas[0] and of the winner, and the work counters.
+    zetas is a (K, n, n) stack of candidates on rho's square split. Returns the
+    index of the winning candidate (fewest copies, lowest index on ties), the
+    budgets of zetas[0] and of the winner, and the work counters.
 
     One branch-and-bound runs over (candidate, p-interval) pairs in lockstep,
     starting from [p_lo, _P_CEILING] with its ends evaluated. Each round drops
@@ -325,17 +334,19 @@ def _copies_budgets(
     p_star is the smallest evaluated p reaching the candidate's count.
     """
     a, w = _whitened_spectra(rho, zetas)
-    c = np.array([max(0.0, 1.0 - entanglement_fraction(z)) for z in zetas])
+    phi = max_entangled_amplitudes(rho.split_a)
+    fraction = np.real((phi.conj()[None, None, :] @ zetas) @ phi[:, None])[:, 0, 0]
+    c = 1.0 - np.clip(fraction, 0.0, 1.0)  # 1 - F(zeta), as entanglement_fraction rounds it
     e = eps_slack
     p_lo = np.where(c <= e * e, 0.0, 1.0 - e * e / np.maximum(c, e * e))
     best_n = np.full(len(zetas), float(COPIES_CAP))  # integral counts, exact in float64
     best_p = np.full(len(zetas), _P_CEILING)
     uncertified = np.zeros(len(zetas), dtype=bool)
-    counters = SearchCounters()
+    points = rounds = 0
 
     def evaluate(rows, p):
-        nonlocal counters
-        counters += SearchCounters(p.size, 1)
+        nonlocal points, rounds
+        points, rounds = points + p.size, rounds + 1
         lam = _lambda_max(a[rows], w[rows], p[:, None])[:, 0]
         slack = e - np.sqrt((1.0 - p) * c[rows])
         with np.errstate(divide="ignore"):
@@ -374,7 +385,7 @@ def _copies_budgets(
 
     best_p[best_n >= COPIES_CAP] = _P_CEILING
     best = int(np.argmin(best_n))
-    counters += SearchCounters(uncertified_candidates=int(uncertified.sum()))
+    counters = SearchCounters(points, rounds, int(uncertified.sum()))
 
     def budget(i):
         return CopiesBudget(int(best_n[i]), float(best_p[i]), bool(best_n[i] >= COPIES_CAP),
@@ -392,7 +403,9 @@ def min_copies(rho: DensityMatrix, zeta: DensityMatrix, epsilon: float) -> Copie
     evaluated that reaches it, not necessarily the smallest p that does.
     """
     d = _local_dim(rho, epsilon)
-    return _copies_budgets(rho, [zeta], math.sqrt(epsilon * (d + 1) / d))[1]
+    if zeta.split != rho.split:
+        raise ShapeError(f"zeta split {zeta.split} does not match rho split {rho.split}")
+    return _copies_budgets(rho, zeta.mat[None], math.sqrt(epsilon * (d + 1) / d))[1]
 
 
 def optimal_copies(rho: DensityMatrix, eps_slack: float) -> tuple[int, float, float]:
@@ -455,13 +468,14 @@ def min_copies_search(query: CatalystSearchQuery) -> CatalystSearchResult:
     eps_slack = query.eps_slack
     if eps_slack is None:
         eps_slack = math.sqrt(query.epsilon * (d + 1) / d)
-    zetas = [maximally_mixed(d * d, split=(d, d))] + [
-        random_flat_spectrum(d * d, query.rng.derive(idx + 1), split=(d, d))
-        for idx in range(query.candidate_count)
-    ]
+    streams = [query.rng.derive(idx + 1) for idx in range(query.candidate_count)]
+    zetas = np.concatenate(
+        [maximally_mixed(d * d).mat[None], random_flat_spectrum(d * d, streams)]
+    )
     best, mixed, winner, counters = _copies_budgets(query.rho, zetas, eps_slack)
+    zeta_best = DensityMatrix._trusted(zetas[best], split=(d, d))
     return CatalystSearchResult(
-        winner.n_min, zetas[best], winner.p_star, mixed.n_min, mixed.p_star, counters
+        winner.n_min, zeta_best, winner.p_star, mixed.n_min, mixed.p_star, counters
     )
 
 

@@ -30,7 +30,7 @@ from .embezzle import (
 )
 from .errors import DomainError
 from .qmat import DensityMatrix, max_relative_entropy
-from .qstates import SeededRng, max_entangled
+from .qstates import SeededRng, max_entangled_amplitudes
 from .teleport import entanglement_fraction
 
 
@@ -76,7 +76,7 @@ def convex_split_plan(rho: DensityMatrix, zeta: DensityMatrix, epsilon: float) -
     k = max_relative_entropy(rho, tau, _SWEEP_TOL)
     n = int(math.ceil(2.0 ** (k + 2) / epsilon))
     marginal = convex_split_marginal(rho, tau, n)
-    phi = max_entangled(d).amplitudes
+    phi = max_entangled_amplitudes(d)
     exact = float(np.real(phi.conj() @ marginal.mat @ phi))
     return DistillPlan(
         kind="CS",

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,8 @@ class SeededRng:
 
     Derived streams for parallel work are obtained by XORing the master
     seed with a stream index, so a (seed, index) pair pins every sample.
+    Derived streams of different master seeds coincide whenever seed ^ index
+    does (ROADMAP item 4).
     """
 
     seed: int
@@ -100,13 +104,19 @@ class SchmidtVector:
         return self.probs.shape[0]
 
 
-def max_entangled(d: int) -> PureStateVector:
-    """Maximally entangled state: uniform amplitude on the d diagonal kets."""
+@lru_cache(maxsize=None)
+def max_entangled_amplitudes(d: int) -> np.ndarray:
+    """Read-only amplitudes of the maximally entangled state, built once per d."""
     if d < 1:
         raise DomainError(f"local dimension must be >= 1, got {d}")
     amps = np.zeros(d * d, dtype=complex)
     amps[:: d + 1] = 1.0 / np.sqrt(d)
-    return PureStateVector(amps, d, d)
+    return _frozen(amps)
+
+
+def max_entangled(d: int) -> PureStateVector:
+    """Maximally entangled state: uniform amplitude on the d diagonal kets."""
+    return PureStateVector(max_entangled_amplitudes(d), d, d)
 
 
 def max_entangled_density(d: int) -> DensityMatrix:
@@ -160,30 +170,38 @@ def random_full_rank(
 
 def random_flat_spectrum(
     d: int,
-    rng: SeededRng | np.random.Generator,
+    rngs: Sequence[SeededRng | np.random.Generator],
     min_eig: float = FULL_RANK_MIN_EIG,
-    split: tuple[int, int] | None = None,
-) -> DensityMatrix:
-    """Full-rank state with simplex-uniform eigenvalues and a Haar eigenbasis.
+) -> np.ndarray:
+    """Full-rank states with simplex-uniform eigenvalues and a Haar eigenbasis.
 
+    Returns a (len(rngs), d, d) stack whose row k is drawn from rngs[k] alone:
+    Dirichlet eigenvalues until the smallest clears ``min_eig``, then one
+    complex Gaussian matrix whose phase-fixed QR factor is the eigenbasis.
     Compared with the Hilbert-Schmidt ensemble this suppresses the strong
     eigenvalue repulsion, so samples rarely carry the near-singular
     directions that make them useless as catalyst ingredients.
     """
     if min_eig < 0:
         raise DomainError(f"min_eig must be nonnegative, got {min_eig}")
-    gen = rng.generator() if isinstance(rng, SeededRng) else rng
-    for _ in range(_REJECTION_BUDGET):
-        eigs = gen.dirichlet(np.ones(d))
-        if float(eigs.min()) < min_eig:
-            continue
-        g = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
-        q, r = np.linalg.qr(g)
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        return DensityMatrix._trusted((q * eigs) @ q.conj().T, split=split)
-    raise SamplerStalled(
-        f"no sample with min eigenvalue >= {min_eig} in {_REJECTION_BUDGET} draws"
-    )
+    alpha = np.ones(d)
+    eigs = np.empty((len(rngs), d))
+    g = np.empty((len(rngs), d, d), dtype=complex)
+    for k, rng in enumerate(rngs):
+        gen = rng.generator() if isinstance(rng, SeededRng) else rng
+        for _ in range(_REJECTION_BUDGET):
+            eigs[k] = gen.dirichlet(alpha)
+            if eigs[k].min() >= min_eig:
+                break
+        else:
+            raise SamplerStalled(
+                f"no sample with min eigenvalue >= {min_eig} in {_REJECTION_BUDGET} draws"
+            )
+        g[k] = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (diag / np.abs(diag))[:, None, :]
+    return (q * eigs[:, None, :]) @ np.conj(np.swapaxes(q, 1, 2))
 
 
 def schmidt_decompose(psi: PureStateVector) -> tuple[SchmidtVector, tuple[np.ndarray, np.ndarray]]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .qmat import DensityMatrix, _frozen
-from .qstates import PureStateVector, SeededRng, max_entangled
+from .qstates import PureStateVector, SeededRng, max_entangled_amplitudes
 
 
 def weyl_shift(d: int) -> np.ndarray:
@@ -71,7 +71,7 @@ def entanglement_fraction(rho: DensityMatrix) -> float:
     da, db = rho.require_split()
     if da != db:
         raise ShapeError(f"entanglement fraction needs a square split, got {da}x{db}")
-    phi = max_entangled(da).amplitudes
+    phi = max_entangled_amplitudes(da)
     val = float(np.real(phi.conj() @ rho.mat @ phi))
     return min(max(val, 0.0), 1.0)
 

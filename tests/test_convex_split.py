@@ -8,8 +8,10 @@ import pytest
 
 from qembezzle import (
     CatalystSearchQuery,
+    DensityMatrix,
     DomainError,
     SeededRng,
+    ShapeError,
     catalyst_mixture,
     consumption_bound,
     convex_split_joint,
@@ -260,6 +262,12 @@ class TestMinCopies:
         with pytest.raises(DomainError):
             min_copies(random_density(4, SeededRng(1), split=(2, 2)), I4, 1.0)
 
+    def test_zeta_split_must_match(self):
+        rho = random_density(4, SeededRng(1), split=(2, 2))
+        for zeta in (maximally_mixed(4), maximally_mixed(9, split=(3, 3))):
+            with pytest.raises(ShapeError):
+                min_copies(rho, zeta, 0.1)
+
 
 def _mp_lambda_max(rho, zeta, p, dps=40):
     """Reference lambda_max of tau^(-1/2) rho tau^(-1/2) from 40-digit eigendecompositions."""
@@ -285,7 +293,7 @@ def _resource(kind, d, seed):
 def _catalyst(kind, d, seed):
     if kind == "mixed":
         return maximally_mixed(d * d, split=(d, d))
-    return random_flat_spectrum(d * d, SeededRng(seed), split=(d, d))
+    return DensityMatrix(random_flat_spectrum(d * d, [SeededRng(seed)])[0], d, d)
 
 
 class TestSecularEvaluator:
@@ -295,7 +303,7 @@ class TestSecularEvaluator:
     def test_matches_extended_precision_eigh(self, d, rho_kind, zeta_kind):
         rho = _resource(rho_kind, d, 31 + d)
         zeta = _catalyst(zeta_kind, d, 77 + d)
-        a, w = _whitened_spectra(rho, [zeta])
+        a, w = _whitened_spectra(rho, zeta.mat[None])
         ps = [0.0, 0.637, 1 - 1e-6]
         got = _lambda_max(a, w, np.array([ps]))[0]
         for p, value in zip(ps, got):
@@ -358,7 +366,7 @@ class TestCertificate:
         zeta = _catalyst(zeta_kind, d, 93 + d)
         calls = _recorded(monkeypatch, "_lambda_max")
         min_copies(rho, zeta, 0.1)
-        a, w = _whitened_spectra(rho, [zeta])
+        a, w = _whitened_spectra(rho, zeta.mat[None])
         evaluated = np.concatenate([np.ravel(args[2]) for args, _ in calls])
         ps = np.unique(np.concatenate([[0.0, 0.3], evaluated]))
         lam = _lambda_max(np.repeat(a, ps.size, 0), np.repeat(w, ps.size, 0), ps[:, None])[:, 0]
@@ -386,7 +394,7 @@ class TestCertificate:
         ends = _dense_p(p_lo, 1 - 1e-6, 12)
         p1, p2 = (x.ravel() for x in np.meshgrid(ends, ends, indexing="ij"))
         p1, p2 = p1[p1 < p2], p2[p1 < p2]
-        a, w = _whitened_spectra(rho, [zeta])
+        a, w = _whitened_spectra(rho, zeta.mat[None])
         ls, gs = [], []
         for p in (p1, p2):
             lam = _lambda_max(np.repeat(a, p.size, 0), np.repeat(w, p.size, 0), p[:, None])[:, 0]
@@ -428,7 +436,8 @@ class TestCertificate:
             CatalystSearchQuery(rho=rho, epsilon=eps, candidate_count=20, rng=rng)
         )
         zetas = [maximally_mixed(d * d, split=(d, d))] + [
-            random_flat_spectrum(d * d, rng.derive(i + 1), split=(d, d)) for i in range(20)
+            DensityMatrix(z, d, d)
+            for z in random_flat_spectrum(d * d, [rng.derive(i + 1) for i in range(20)])
         ]
         alone = [min_copies(rho, z, eps) for z in zetas]
         best = min(range(len(zetas)), key=lambda i: alone[i].n_min)
@@ -439,24 +448,26 @@ class TestCertificate:
     def test_ties_go_to_the_lower_index(self):
         # Candidates 3, 6 and 14 all need 23 copies, and a later one reaches 23 first.
         rho = random_density(4, SeededRng(10), split=(2, 2))
-        zetas = [I4] + [random_flat_spectrum(4, SeededRng(10_000 + i), split=(2, 2)) for i in range(30)]
+        flats = random_flat_spectrum(4, [SeededRng(10_000 + i) for i in range(30)])
+        zetas = np.concatenate([I4.mat[None], flats])
         eps_slack = math.sqrt(0.7 * 3 / 2)
-        alone = [min_copies(rho, z, 0.7).n_min for z in zetas]
+        alone = [min_copies(rho, DensityMatrix(z, 2, 2), 0.7).n_min for z in zetas]
         tied = [i for i, n in enumerate(alone) if n == min(alone)]
         assert len(tied) > 1 and tied[0] > 0
         best, mixed, win, counters = _copies_budgets(rho, zetas, eps_slack)
         assert (best, win.n_min, mixed.n_min) == (tied[0], alone[tied[0]], alone[0])
         assert counters.uncertified_candidates == 0
         # Copies of the winner, and of the benchmark, after the original: the first wins.
-        best, _, win, _ = _copies_budgets(rho, zetas[: tied[0] + 1] + [zetas[tied[0]]], eps_slack)
+        best, _, win, _ = _copies_budgets(rho, zetas[[*range(tied[0] + 1), tied[0]]], eps_slack)
         assert (best, win.n_min) == (tied[0], alone[tied[0]])
-        best, _, win, _ = _copies_budgets(rho, [I4, I4], eps_slack)
+        best, _, win, _ = _copies_budgets(rho, np.stack([I4.mat, I4.mat]), eps_slack)
         assert (best, win.n_min) == (0, alone[0])
 
     def test_impractical_case_ends(self):
         rho = random_density(4, SeededRng(5), split=(2, 2))
         eps_slack = math.sqrt(1e-6 * 3 / 2)
-        zetas = [I4] + [random_flat_spectrum(4, SeededRng(600 + i), split=(2, 2)) for i in range(5)]
+        flats = random_flat_spectrum(4, [SeededRng(600 + i) for i in range(5)])
+        zetas = np.concatenate([I4.mat[None], flats])
         best, mixed, win, counters = _copies_budgets(rho, zetas, eps_slack)
         assert mixed.impractical and win.impractical and win.n_min == COPIES_CAP
         assert mixed.p_star == 1 - 1e-6
@@ -473,6 +484,17 @@ class TestCertificate:
 
 
 class TestSearch:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stacked_fractions_match_entanglement_fraction(self, d, monkeypatch):
+        # The first bound call sees 1 - F(zeta) of every candidate, in order.
+        calls = _recorded(monkeypatch, "_interval_bound")
+        rho = random_density(d * d, SeededRng(15), split=(d, d))
+        flats = random_flat_spectrum(d * d, [SeededRng(700 + i) for i in range(200)])
+        zetas = np.concatenate([maximally_mixed(d * d).mat[None], flats])
+        _copies_budgets(rho, zetas, 0.5)
+        want = [max(0.0, 1.0 - entanglement_fraction(DensityMatrix(z, d, d))) for z in zetas]
+        np.testing.assert_array_equal(calls[0][0][0], want)
+
     def test_degenerate_search_equals_benchmark(self):
         rho = random_density(4, SeededRng(11), split=(2, 2))
         res = min_copies_search(

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from qembezzle import (
+    DensityMatrix,
     SeededRng,
     catalyst_mixture,
     entanglement_fraction,
@@ -45,7 +46,9 @@ class TestOptimalCopies:
         rho = random_density(d * d, SeededRng(rho_seed), split=(d, d))
         zeta = {
             "mixed": lambda: maximally_mixed(d * d, split=(d, d)),
-            "flat": lambda: random_flat_spectrum(d * d, SeededRng(zeta_seed), split=(d, d)),
+            "flat": lambda: DensityMatrix(
+                random_flat_spectrum(d * d, [SeededRng(zeta_seed)])[0], d, d
+            ),
             "full": lambda: random_full_rank(d * d, SeededRng(zeta_seed), split=(d, d)),
         }[zeta_kind]()
         eps_slack = math.sqrt(eps * (d + 1) / d)

@@ -4,19 +4,30 @@ import numpy as np
 import pytest
 
 from qembezzle import (
+    CatalystSearchQuery,
+    DensityMatrix,
     DomainError,
     PureStateVector,
+    SamplerStalled,
     SchmidtVector,
     SeededRng,
     ShapeError,
     max_entangled,
+    min_copies_search,
     random_density,
+    random_flat_spectrum,
     random_full_rank,
     random_pure,
     schmidt_decompose,
     schmidt_reconstruct,
 )
-from qembezzle.qstates import density_from_document, density_to_document, read_density, write_density
+from qembezzle.qstates import (
+    density_from_document,
+    density_to_document,
+    max_entangled_amplitudes,
+    read_density,
+    write_density,
+)
 from qembezzle.teleport import entanglement_fraction
 from qembezzle.qmat import max_relative_entropy
 
@@ -55,6 +66,13 @@ class TestMaxEntangled:
     def test_rejects_zero_dim(self):
         with pytest.raises(DomainError):
             max_entangled(0)
+
+    def test_cached_amplitudes_are_read_only(self):
+        phi = max_entangled_amplitudes(3)
+        assert phi is max_entangled_amplitudes(3)
+        with pytest.raises(ValueError):
+            phi[0] = 0.0
+        np.testing.assert_array_equal(max_entangled(3).amplitudes, phi)
 
 
 class TestSamplers:
@@ -116,16 +134,61 @@ class TestSamplers:
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
 
     def test_flat_spectrum_sampler(self):
-        from qembezzle import random_flat_spectrum
-
-        for seed in range(10):
-            rho = random_flat_spectrum(4, SeededRng(seed), split=(2, 2))
+        for mat in random_flat_spectrum(4, [SeededRng(seed) for seed in range(10)]):
+            rho = DensityMatrix(mat, 2, 2)
             assert abs(np.trace(rho.mat).real - 1.0) < 1e-12
             assert np.max(np.abs(rho.mat - rho.mat.conj().T)) < 1e-12
             assert rho.min_eigenvalue() >= 1e-6
-        a = random_flat_spectrum(4, SeededRng(3))
-        b = random_flat_spectrum(4, SeededRng(3))
-        np.testing.assert_array_equal(a.mat, b.mat)
+        a = random_flat_spectrum(4, [SeededRng(3)])
+        b = random_flat_spectrum(4, [SeededRng(3)])
+        np.testing.assert_array_equal(a, b)
+
+
+def _flat_spectrum_one(d, gen, min_eig):
+    """One flat-spectrum draw from gen, as the sampler made it one state per call."""
+    for _ in range(1000):
+        eigs = gen.dirichlet(np.ones(d))
+        if float(eigs.min()) < min_eig:
+            continue
+        g = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+        q, r = np.linalg.qr(g)
+        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        return (q * eigs) @ q.conj().T
+    raise AssertionError("reference draw stalled")
+
+
+class TestStackedFlatSpectrum:
+    # min_eig 0.1 at d = 4 and 0.01 at d = 9 reject about 78% and 53% of the
+    # Dirichlet draws, so rejected draws must leave the Gaussians alone.
+    @pytest.mark.parametrize("d, min_eig", [(4, 1e-6), (4, 0.1), (9, 1e-6), (9, 0.01)])
+    def test_rows_match_one_draw_per_stream(self, d, min_eig):
+        shared = SeededRng(77).generator()
+        streams = [SeededRng(seed) for seed in range(8)] + [shared] * 3
+        got = random_flat_spectrum(d, streams, min_eig=min_eig)
+        assert got.shape == (11, d, d)
+        ref_shared = SeededRng(77).generator()
+        for row, stream in zip(got, streams):
+            gen = stream.generator() if isinstance(stream, SeededRng) else ref_shared
+            np.testing.assert_array_equal(row, _flat_spectrum_one(d, gen, min_eig))
+        assert np.linalg.eigvalsh(got).min() >= min_eig - 1e-12
+
+    def test_unreachable_floor_stalls(self):
+        # Four weights summing to 1 have a smallest weight of at most 0.25.
+        with pytest.raises(SamplerStalled):
+            random_flat_spectrum(4, [SeededRng(1)], min_eig=0.3)
+
+    @pytest.mark.parametrize("d", [4, 9])
+    def test_no_streams_give_an_empty_stack(self, d):
+        assert random_flat_spectrum(d, []).shape == (0, d, d)
+
+    def test_search_without_candidates_is_the_benchmark(self):
+        rho = random_density(9, SeededRng(14), split=(3, 3))
+        res = min_copies_search(
+            CatalystSearchQuery(rho=rho, epsilon=0.1, candidate_count=0, rng=SeededRng(4))
+        )
+        assert res.n_best == res.n_mixed
+        np.testing.assert_array_equal(res.zeta_best.mat, np.eye(9) / 9)
+        assert res.zeta_best.split == (3, 3)
 
 
 class TestSchmidt:

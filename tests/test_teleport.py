@@ -8,6 +8,7 @@ from qembezzle import (
     DomainError,
     SeededRng,
     ShapeError,
+    all_fixtures,
     average_fidelity_from_fraction,
     average_fidelity_mc,
     bell_basis,
@@ -66,6 +67,13 @@ class TestFractionAndFormula:
     def test_requires_square_split(self):
         with pytest.raises(ShapeError):
             entanglement_fraction(random_density(6, SeededRng(0), split=(2, 3)))
+
+    def test_cached_phi_gives_the_same_bits_on_every_fixture(self):
+        phi = np.zeros(4, dtype=complex)
+        phi[::3] = 1.0 / np.sqrt(2)
+        for table, row, _, state in all_fixtures():
+            val = float(np.real(phi.conj() @ state.mat @ phi))
+            assert entanglement_fraction(state) == min(max(val, 0.0), 1.0), (table, row)
 
     def test_formula_endpoints(self):
         assert abs(average_fidelity_from_fraction(1.0, 5) - 1.0) < 1e-12
