@@ -54,17 +54,16 @@ from .convex_split import (
     ConvexSplitCatalyst,
     CopiesBudget,
     SearchCounters,
+    Task,
     catalyst_mixture,
     consumption_bound,
     convex_split_joint,
     convex_split_marginal,
-    copies_for_fidelity,
+    convex_split_plan,
     descent_ratio,
     min_copies,
-    min_copies_for_consumption,
     min_copies_search,
     optimal_copies,
-    teleport_catalyst_plan,
 )
 from .embezzle import (
     CatalystResidual,
@@ -78,7 +77,6 @@ from .embezzle import (
     extraction_fidelity_bound,
     product_preimage_state,
     rearrangement_permutation,
-    residual_schmidt_rank,
     schmidt_rank_for_fidelity,
 )
 from .correlated import (
@@ -91,8 +89,6 @@ from .correlated import (
 )
 from .distill import (
     DistillPlan,
-    convex_split_plan,
-    distill_copies_search,
     distill_schmidt_rank,
     embezzle_plan,
 )

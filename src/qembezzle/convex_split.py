@@ -9,7 +9,8 @@ rho/n + (n-1) tau/n and the divergence-controlled error sqrt(2^k / n).
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -48,6 +49,23 @@ _SECULAR_STEPS, _SECULAR_RTOL = 64, 4e-16
 _BOUND_RTOL, _WIDTH_FLOOR = 1e-12, 1e-12
 
 
+class Task(Enum):
+    """What a convex-split catalyst is for; fixes the error budget on F(tau)."""
+
+    TELEPORT = "teleport"
+    DISTILL = "distill"
+
+    def budget(self, epsilon: float, d: int) -> float:
+        """Error delta on the entanglement fraction that meets the task's error epsilon.
+
+        Teleportation bounds the Haar-average fidelity (d F + 1)/(d + 1), so
+        delta = eps (d+1)/d; distillation bounds the output fidelity F itself.
+        """
+        if self is Task.TELEPORT:
+            return epsilon * (d + 1) / d
+        return epsilon
+
+
 def _local_dim(rho: DensityMatrix, epsilon: float | None) -> int:
     """Local dimension of rho's square split, after checking epsilon lies in (0, 1)."""
     if epsilon is not None and not 0.0 < epsilon < 1.0:
@@ -68,15 +86,6 @@ def catalyst_mixture(zeta: DensityMatrix, p: float) -> DensityMatrix:
     phi = max_entangled_density(da)
     mat = p * phi.mat + (1.0 - p) * zeta.mat
     return DensityMatrix._trusted(mat, split=(da, db))
-
-
-def copies_for_fidelity(k: float, d: int, epsilon: float) -> int:
-    """Copies needed for the average-fidelity guarantee: ceil(2^(k+2) d / (eps (d+1)))."""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if k < 0:
-        raise DomainError(f"divergence k must be nonnegative, got {k}")
-    return int(math.ceil(2.0 ** (k + 2) * d / (epsilon * (d + 1))))
 
 
 def convex_split_marginal(rho: DensityMatrix, tau: DensityMatrix, n: int) -> DensityMatrix:
@@ -126,16 +135,13 @@ def consumption_bound(k: float, n: int) -> float:
     return math.sqrt(2.0**k / n)
 
 
-def min_copies_for_consumption(k: float, delta: float) -> int:
-    """Smallest n keeping the catalyst change within delta: ceil(2^k / delta^2)."""
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta}")
-    return int(math.ceil(2.0**k / (delta * delta)))
-
-
 @dataclass(frozen=True)
 class ConvexSplitCatalyst:
-    """One-copy factor and copy count realising a fidelity target."""
+    """One-copy factor and copy count meeting a task's error epsilon.
+
+    output_fraction is the overlap of the closed-form marginal with phi+;
+    consumption bounds the catalyst change in purified distance.
+    """
 
     tau: DensityMatrix
     zeta: DensityMatrix
@@ -143,6 +149,8 @@ class ConvexSplitCatalyst:
     copies: int
     k: float
     epsilon: float
+    task: Task
+    output_fraction: float
 
     def __post_init__(self):
         recon = catalyst_mixture(self.zeta, self.p).mat
@@ -151,22 +159,32 @@ class ConvexSplitCatalyst:
         if not math.isfinite(self.k):
             raise DomainError("divergence k must be finite")
 
+    @property
+    def consumption(self) -> float:
+        return consumption_bound(self.k, self.copies)
 
-def teleport_catalyst_plan(
-    rho: DensityMatrix, zeta: DensityMatrix, epsilon: float
+
+def convex_split_plan(
+    rho: DensityMatrix, zeta: DensityMatrix, epsilon: float, task: Task
 ) -> ConvexSplitCatalyst:
-    """Catalyst achieving average fidelity >= 1 - epsilon on resource rho.
+    """Catalyst meeting the task's error epsilon on resource rho.
 
-    Chooses the smallest admissible mixing weight
-    p = 1 - eps (d+1) / (4 d (1 - F(zeta))), then the matching copy count.
+    With delta = task.budget(epsilon, d), chooses the smallest admissible
+    mixing weight p = 1 - delta / (4 (1 - F(zeta))), which keeps one copy of
+    tau within sqrt(delta)/2 of phi+, then n = ceil(2^(k+2) / delta).
     """
     d = _local_dim(rho, epsilon)
+    delta = task.budget(epsilon, d)
     one_minus_fz = 1.0 - entanglement_fraction(zeta)
-    p = max(0.0, 1.0 - epsilon * (d + 1) / (4.0 * d * one_minus_fz))
+    p = max(0.0, 1.0 - delta / (4.0 * one_minus_fz))
     tau = catalyst_mixture(zeta, p)
     k = max_relative_entropy(rho, tau, _SWEEP_TOL)
-    n = copies_for_fidelity(k, d, epsilon)
-    return ConvexSplitCatalyst(tau=tau, zeta=zeta, p=p, copies=n, k=k, epsilon=epsilon)
+    n = int(math.ceil(2.0 ** (k + 2) / delta))
+    phi = max_entangled_amplitudes(d)
+    fraction = float(np.real(phi.conj() @ convex_split_marginal(rho, tau, n).mat @ phi))
+    return ConvexSplitCatalyst(
+        tau=tau, zeta=zeta, p=p, copies=n, k=k, epsilon=epsilon, task=task, output_fraction=fraction
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +423,8 @@ def min_copies(rho: DensityMatrix, zeta: DensityMatrix, epsilon: float) -> Copie
     d = _local_dim(rho, epsilon)
     if zeta.split != rho.split:
         raise ShapeError(f"zeta split {zeta.split} does not match rho split {rho.split}")
-    return _copies_budgets(rho, zeta.mat[None], math.sqrt(epsilon * (d + 1) / d))[1]
+    eps_slack = math.sqrt(Task.TELEPORT.budget(epsilon, d))
+    return _copies_budgets(rho, zeta.mat[None], eps_slack)[1]
 
 
 def optimal_copies(rho: DensityMatrix, eps_slack: float) -> tuple[int, float, float]:
@@ -426,13 +445,13 @@ def optimal_copies(rho: DensityMatrix, eps_slack: float) -> tuple[int, float, fl
 
 @dataclass(frozen=True)
 class CatalystSearchQuery:
-    """Randomised search setup: resource, error budget, candidate count, seed."""
+    """Randomised search setup: resource, error budget, candidate count, seed, task."""
 
     rho: DensityMatrix
     epsilon: float
     candidate_count: int
     rng: SeededRng
-    eps_slack: float | None = field(default=None)
+    task: Task = Task.TELEPORT
 
     def __post_init__(self):
         if self.candidate_count < 0:
@@ -464,10 +483,8 @@ def min_copies_search(query: CatalystSearchQuery) -> CatalystSearchResult:
     resolve by (copy count, candidate index) with the benchmark ordered first.
     Only the benchmark and the winner are minimised in full.
     """
-    d = _local_dim(query.rho, None if query.eps_slack is not None else query.epsilon)
-    eps_slack = query.eps_slack
-    if eps_slack is None:
-        eps_slack = math.sqrt(query.epsilon * (d + 1) / d)
+    d = _local_dim(query.rho, query.epsilon)
+    eps_slack = math.sqrt(query.task.budget(query.epsilon, d))
     streams = [query.rng.derive(idx + 1) for idx in range(query.candidate_count)]
     zetas = np.concatenate(
         [maximally_mixed(d * d).mat[None], random_flat_spectrum(d * d, streams)]

@@ -244,16 +244,6 @@ def schmidt_rank_for_fidelity(d: int, epsilon: float) -> int:
         return int(mp.ceil(mp.power(dd, exponent)))
 
 
-def residual_schmidt_rank(d: int, delta: float) -> int:
-    """Smallest rank keeping the catalyst change within delta: ceil(d^(2/delta^2))."""
-    if d < 1:
-        raise DomainError(f"local dimension must be >= 1, got {d}")
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta}")
-    with mp.workdps(60):
-        return int(mp.ceil(mp.power(mp.mpf(d), 2 / mp.mpf(delta) ** 2)))
-
-
 @dataclass(frozen=True)
 class CatalystResidual:
     """Catalyst state after extraction, with exact and closed-form distances.

@@ -24,9 +24,15 @@ import mpmath
 import numpy as np
 
 from . import __version__
-from .convex_split import CatalystSearchQuery, SearchCounters, min_copies_search
+from .convex_split import (
+    CatalystSearchQuery,
+    SearchCounters,
+    Task,
+    convex_split_plan,
+    min_copies_search,
+)
 from .correlated import qutrit_region_map
-from .distill import convex_split_plan, embezzle_plan
+from .distill import embezzle_plan
 from .embezzle import (
     EXACT_RESIDUAL_RANK_CAP,
     _extraction_overlap,
@@ -369,7 +375,7 @@ def _run_distill(cfg: ExperimentConfig) -> ResultTable:
     plans_e = [embezzle_plan(cfg.d, eps) for eps in eps_values]  # independent of the state
     for table, row, state in states:
         for eps, plan_e in zip(eps_values, plans_e):
-            plan_cs = convex_split_plan(state, zeta, eps)
+            plan_cs = convex_split_plan(state, zeta, eps, Task.DISTILL)
             rows.append(
                 (
                     table,
@@ -379,9 +385,9 @@ def _run_distill(cfg: ExperimentConfig) -> ResultTable:
                     plan_cs.p,
                     plan_cs.copies,
                     plan_cs.k,
-                    plan_cs.exact_output_fidelity,
+                    plan_cs.output_fraction,
                     "exact",
-                    plan_cs.predicted_consumption,
+                    plan_cs.consumption,
                 )
             )
             rows.append(

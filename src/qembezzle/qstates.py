@@ -25,7 +25,7 @@ class SeededRng:
     Derived streams for parallel work are obtained by XORing the master
     seed with a stream index, so a (seed, index) pair pins every sample.
     Derived streams of different master seeds coincide whenever seed ^ index
-    does (ROADMAP item 4).
+    does (ROADMAP item 9).
     """
 
     seed: int

@@ -35,7 +35,7 @@ from qembezzle import (
     random_full_rank,
     rearrangement_permutation,
     reference_initial_state,
-    teleport_catalyst_plan,
+    Task,
     tensor_product,
 )
 from qembezzle.correlated import RegionLabel, embezzling_rank_certifies, qutrit_region_map
@@ -108,7 +108,7 @@ def test_criterion_04_teleport_catalyst_end_to_end():
     for trial in range(50):
         rho = random_density(4, SeededRng(MASTER_SEED).derive(5000 + trial), split=(2, 2))
         for eps in (0.05, 0.1, 0.2):
-            plan = teleport_catalyst_plan(rho, I4, eps)
+            plan = convex_split_plan(rho, I4, eps, Task.TELEPORT)
             marginal = convex_split_marginal(rho, plan.tau, plan.copies)
             f_c = average_fidelity_from_fraction(entanglement_fraction(marginal), 2)
             if f_c < 1 - eps:
@@ -237,8 +237,8 @@ def test_criterion_10_distillation_end_to_end():
     for row in range(2):
         rho = load_fixture("III", row)
         for eps in (0.1, 0.2, 0.3):
-            cs = convex_split_plan(rho, I4, eps)
-            if cs.exact_output_fidelity < 1 - eps:
+            cs = convex_split_plan(rho, I4, eps, Task.DISTILL)
+            if cs.output_fraction < 1 - eps:
                 violations += 1
             em = embezzle_plan(2, eps)
             if extraction_fidelity_bound(2, em.schmidt_rank) < 1 - eps - 1e-12:

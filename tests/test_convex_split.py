@@ -16,21 +16,20 @@ from qembezzle import (
     consumption_bound,
     convex_split_joint,
     convex_split_marginal,
-    copies_for_fidelity,
+    convex_split_plan,
     descent_ratio,
     entanglement_fraction,
     max_entangled_density,
     maximally_mixed,
     max_relative_entropy,
     min_copies,
-    min_copies_for_consumption,
     min_copies_search,
     purified_distance,
     random_density,
     random_flat_spectrum,
     random_full_rank,
     random_pure,
-    teleport_catalyst_plan,
+    Task,
     average_fidelity_from_fraction,
 )
 from qembezzle import convex_split
@@ -70,16 +69,26 @@ class TestMixture:
 
 class TestCopyCounts:
     def test_direct_arithmetic(self):
-        assert copies_for_fidelity(2.0, 2, 0.1) == 107
-        assert copies_for_fidelity(0.0, 2, 0.1) == 27
+        # n = ceil(2^(k+2) / delta), delta = eps (d+1)/d for teleportation and eps for distillation.
+        assert Task.TELEPORT.budget(0.1, 2) == 0.1 * 3 / 2 and Task.DISTILL.budget(0.1, 2) == 0.1
+        for d in (2, 3):
+            rho = random_density(d * d, SeededRng(30 + d), split=(d, d))
+            zeta = maximally_mixed(d * d, split=(d, d))
+            tele = convex_split_plan(rho, zeta, 0.1, Task.TELEPORT)
+            assert tele.copies == math.ceil(2.0 ** (tele.k + 2) * d / (0.1 * (d + 1)))
+            dist = convex_split_plan(rho, zeta, 0.1, Task.DISTILL)
+            assert dist.copies == math.ceil(2.0 ** (dist.k + 2) / 0.1)
 
     def test_monotone_in_epsilon(self):
-        values = [copies_for_fidelity(1.5, 2, eps) for eps in np.linspace(0.02, 0.5, 20)]
+        rho = random_density(4, SeededRng(32), split=(2, 2))
+        values = [
+            convex_split_plan(rho, I4, float(eps), Task.TELEPORT).copies
+            for eps in np.linspace(0.02, 0.5, 20)
+        ]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_consumption_examples(self):
         assert abs(consumption_bound(2.0, 32) - math.sqrt(0.125)) < 1e-12
-        assert min_copies_for_consumption(2.0, 0.1) == 400
 
     def test_consumption_decreasing_in_n(self):
         vals = [consumption_bound(1.0, n) for n in range(1, 50)]
@@ -105,7 +114,7 @@ class TestMarginal:
         for seed in range(10):
             rho = random_density(4, SeededRng(600 + seed), split=(2, 2))
             for eps in (0.05, 0.1, 0.2):
-                plan = teleport_catalyst_plan(rho, I4, eps)
+                plan = convex_split_plan(rho, I4, eps, Task.TELEPORT)
                 marg = convex_split_marginal(rho, plan.tau, plan.copies)
                 assert entanglement_fraction(marg) >= 1 - eps * 3 / 2
 
@@ -534,7 +543,7 @@ class TestDescentRatio:
 class TestTeleportPlan:
     def test_mixture_invariant_validated(self):
         rho = random_density(4, SeededRng(21), split=(2, 2))
-        plan = teleport_catalyst_plan(rho, I4, 0.1)
+        plan = convex_split_plan(rho, I4, 0.1, Task.TELEPORT)
         recon = plan.p * max_entangled_density(2).mat + (1 - plan.p) * I4.mat
         assert np.max(np.abs(recon - plan.tau.mat)) < 1e-10
         assert math.isfinite(plan.k)
@@ -543,7 +552,8 @@ class TestTeleportPlan:
         for seed in range(15):
             rho = random_density(4, SeededRng(700 + seed), split=(2, 2))
             for eps in (0.05, 0.1, 0.2):
-                plan = teleport_catalyst_plan(rho, I4, eps)
+                plan = convex_split_plan(rho, I4, eps, Task.TELEPORT)
                 marg = convex_split_marginal(rho, plan.tau, plan.copies)
+                assert abs(plan.output_fraction - entanglement_fraction(marg)) < 1e-12
                 f = average_fidelity_from_fraction(entanglement_fraction(marg), 2)
                 assert f >= 1 - eps

@@ -22,7 +22,6 @@ from qembezzle import (
     purified_distance,
     random_density,
     rearrangement_permutation,
-    residual_schmidt_rank,
     schmidt_rank_for_fidelity,
     tensor_product,
     uhlmann_fidelity,
@@ -199,10 +198,6 @@ class TestResidual:
         res = catalyst_residual(2, 16)
         assert abs(res.p_bound - math.sqrt(0.5)) < 1e-12
         assert res.p_exact <= res.p_bound
-
-    def test_minimal_rank_query(self):
-        assert residual_schmidt_rank(2, 1.0) == 4
-        assert residual_schmidt_rank(3, 1.0) == 9
 
     def test_direct_vs_closed_form_sweep(self):
         for d in (2, 3):
